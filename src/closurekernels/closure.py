@@ -6,11 +6,15 @@ maximum over an empty set). The closure number is 1 + max over vertices.
 The weak closure number is the least g such that every induced subgraph has
 a vertex with per-vertex closure < g; it is computed exactly by greedy
 peeling and certified by the emitted ordering.
+
+ClosureEngine peels from common-neighbor counts kept up to date from wedges;
+vertex_closure, _suffix_closures and exhaustive_weak_closure recompute from scratch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import comb
 
 from .graph import Graph, induced_subgraph, is_independent_set, maximal_cliques
@@ -32,10 +36,11 @@ def vertex_closure(g: Graph, v: int) -> int:
 
 
 def closure_number(g: Graph) -> int:
-    """Smallest c with every per-vertex closure < c, i.e. 1 + max closure."""
-    if g.n == 0:
-        return 1
-    return 1 + max(vertex_closure(g, v) for v in g.vertices())
+    """Smallest c with every per-vertex closure < c, i.e. 1 + max closure.
+    Only vertices two steps apart share neighbors, so only those pairs are compared."""
+    adj = g.adjacency()
+    return 1 + max((len(nu & adj[w]) for u, nu in enumerate(adj)
+                    for w in set().union(*[adj[c] for c in nu]) - nu if w > u), default=0)
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,90 @@ def _suffix_closures(g: Graph, order: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(steps)
 
 
+class _MinBuckets:
+    """Bucket queue over keys in 0..n-1 that only fall: pop() takes a least
+    key, ties to the smallest id. A lowered vertex is pushed again and its
+    old entry goes stale, as do those of a vertex whose key is set to -1."""
+
+    __slots__ = ("key", "heaps", "lo")
+
+    def __init__(self, key: list[int]):
+        heaps = self.heaps = [[] for _ in key]
+        for v, k in enumerate(key):
+            heaps[k].append(v)  # ascending ids, so already a heap
+        self.key, self.lo = key, 0
+
+    def lowered(self, v: int) -> None:
+        heappush(self.heaps[self.key[v]], v)
+        self.lo = min(self.lo, self.key[v])
+
+    def pop(self) -> int:
+        key, heaps, lo = self.key, self.heaps, self.lo
+        while True:
+            heap = heaps[lo]
+            while heap:
+                v = heappop(heap)
+                if key[v] == lo:
+                    self.lo = lo
+                    return v
+            lo += 1
+
+
+class ClosureEngine(_MinBuckets):
+    """Closures of an induced subgraph losing one vertex at a time: rows[v][w]
+    counts v's common neighbors with each nonadjacent alive w (built from the
+    wedges in O(sum of deg^2)); closure[v] is the row maximum, or 0."""
+
+    __slots__ = ("adj", "rows", "alive", "closure")
+
+    def __init__(self, g: Graph):
+        adj = self.adj = g.adjacency()
+        rows = self.rows = [{} for _ in adj]
+        for nb in adj:  # every wedge u - c - w with u, w nonadjacent
+            for u in nb:
+                row = rows[u]
+                for w in nb - adj[u]:
+                    if w != u:
+                        row[w] = row.get(w, 0) + 1
+        self.alive = set(g.vertices())
+        self.closure = [max(row.values()) if row else 0 for row in rows]
+        super().__init__(self.closure)
+
+    def remove(self, x: int) -> None:
+        """Delete alive vertex x: only N(x) and x's partners change closure."""
+        rows, closure, adj = self.rows, self.closure, self.adj
+        self.alive.remove(x)
+        closure[x] = -1
+        nb = adj[x] & self.alive
+        for u in nb:
+            row = rows[u]
+            for w in nb - adj[u]:
+                if w != u:
+                    row[w] -= 1
+        partners = rows[x]
+        for w in partners:
+            del rows[w][x]
+        for v in (*nb, *partners):  # disjoint: partners are nonadjacent to x
+            row = rows[v]
+            c = max(row.values()) if row else 0
+            if c != closure[v]:
+                closure[v] = c
+                heappush(self.heaps[c], v)  # lowered(v), inlined: the hot path on tiny graphs
+                if c < self.lo:
+                    self.lo = c
+
+    def peel(self, order: tuple[int, ...] | None = None) -> ClosureOrdering:
+        """Remove every alive vertex, in `order` or else by least closure, ties
+        to the smallest id; record each one's closure just before removal."""
+        closure, picked, steps = self.closure, [], []
+        for i in range(len(self.alive)):
+            v = self.pop() if order is None else order[i]
+            picked.append(v)
+            steps.append(closure[v])
+            self.remove(v)
+        return ClosureOrdering(tuple(picked), tuple(steps), 1 + max(steps, default=0))
+
+
 def weak_closure_ordering(g: Graph) -> ClosureOrdering:
     """Greedy peeling: repeatedly remove a vertex of minimum closure.
 
@@ -74,28 +163,7 @@ def weak_closure_ordering(g: Graph) -> ClosureOrdering:
     closure equals the max over induced subgraphs of the min per-vertex
     closure, and the peeling chain attains that max.
     """
-    remaining = set(g.vertices())
-    order: list[int] = []
-    steps: list[int] = []
-    adj = {v: g.adj(v) for v in g.vertices()}
-    while remaining:
-        best_v, best_cl = -1, None
-        for v in sorted(remaining):
-            nv = adj[v] & remaining
-            cl = 0
-            for w in remaining:
-                if w == v or w in nv:
-                    continue
-                c = len(nv & adj[w] & remaining)
-                if c > cl:
-                    cl = c
-            if best_cl is None or cl < best_cl:
-                best_v, best_cl = v, cl
-        order.append(best_v)
-        steps.append(best_cl)  # type: ignore[arg-type]
-        remaining.remove(best_v)
-    wc = 1 + max(steps, default=0)
-    return ClosureOrdering(tuple(order), tuple(steps), wc)
+    return ClosureEngine(g).peel()
 
 
 def verify_closure_ordering(g: Graph, ordering: ClosureOrdering) -> bool:
@@ -169,15 +237,17 @@ def pq_split(g: Graph, ordering: ClosureOrdering, v: int) -> PQSplit:
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """(degeneracy, peel order) by repeated minimum-degree removal."""
-    remaining = set(g.vertices())
-    order = []
-    d = 0
-    while remaining:
-        v = min(remaining, key=lambda u: (len(g.adj(u) & remaining), u))
-        d = max(d, len(g.adj(v) & remaining))
+    """(degeneracy, peel order): Matula-Beck minimum-degree peeling, ties to the smallest id."""
+    deg = [len(nb) for nb in g.adjacency()]
+    queue, order, d = _MinBuckets(deg), [], 0
+    for _ in range(g.n):
+        v = queue.pop()
         order.append(v)
-        remaining.remove(v)
+        d, deg[v] = max(d, deg[v]), -1
+        for w in g.neighbors(v):
+            if deg[w] >= 0:
+                deg[w] -= 1
+                queue.lowered(w)
     return d, tuple(order)
 
 

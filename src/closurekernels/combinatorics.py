@@ -107,21 +107,20 @@ def _bipartite_max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> 
     # Kuhn's augmenting-path matching; adj[l] lists right-neighbors ascending.
     # Returns match_right where match_right[r] = matched left vertex or -1.
     match_right = [-1] * n_right
-    match_left = [-1] * n_left
-
-    def try_kuhn(l: int, seen: list[bool]) -> bool:
-        for r in adj[l]:
-            if seen[r]:
-                continue
-            seen[r] = True
-            if match_right[r] == -1 or try_kuhn(match_right[r], seen):
-                match_right[r] = l
-                match_left[l] = r
-                return True
-        return False
-
-    for l in range(n_left):
-        try_kuhn(l, [False] * n_right)
+    for root in range(n_left):
+        seen = [False] * n_right
+        stack = [[root, iter(adj[root]), -1]]  # [left vertex, unscanned neighbors, right vertex tried]
+        while stack:
+            stack[-1][2] = r = next((r for r in stack[-1][1] if not seen[r]), -1)
+            if r == -1:
+                stack.pop()
+            elif match_right[r] == -1:
+                for l, _, r in stack:  # augment along the stack
+                    match_right[r] = l
+                break
+            else:
+                seen[r] = True
+                stack.append([match_right[r], iter(adj[match_right[r]]), -1])
     return match_right
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import ClosureOrdering, _suffix_closures, weak_closure_ordering
+from .closure import ClosureEngine, ClosureOrdering, weak_closure_ordering
 from .combinatorics import find_sunflower
 from .graph import (
     Graph,
@@ -87,16 +87,6 @@ def is_split(g: Graph) -> bool:
     return _split_partition_opt(g) is not None
 
 
-def _closure_within(g: Graph, alive: frozenset[int], v: int) -> int:
-    nv = g.adj(v) & alive
-    best = 0
-    for w in alive:
-        if w == v or w in nv:
-            continue
-        best = max(best, len(nv & g.adj(w)))
-    return best
-
-
 def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
     """An ordering certifying the weak closure in which every clique vertex
     comes before every independent vertex.
@@ -109,39 +99,36 @@ def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
     gamma = weak_closure_ordering(g).weak_closure
     cset = set(part.clique)
     iset = set(part.independent)
-    alive = set(g.vertices())
+    engine = ClosureEngine(g)
+    deg = {v: g.degree(v) for v in g.vertices()}  # degrees among the alive
     front: list[int] = []
     back: list[int] = []
-    while alive:
-        frozen = frozenset(alive)
-        deg = {v: len(g.adj(v) & frozen) for v in alive}
+    while deg:
         if max(deg.values()) <= gamma - 1:
-            front += sorted(cset & alive) + sorted(iset & alive)
-            alive.clear()
+            front += sorted(cset & deg.keys()) + sorted(iset & deg.keys())
             break
         if min(deg.values()) >= gamma:
-            picks = [v for v in sorted(cset & alive)
-                     if _closure_within(g, frozen, v) < gamma]
-            if not picks:
+            v = min((v for v in cset & deg.keys() if engine.closure[v] < gamma), default=None)
+            if v is None:
                 raise GoodOrderingError("no low-closure clique vertex available")
-            front.append(picks[0])
-            alive.discard(picks[0])
+            front.append(v)
         else:
-            picks = [v for v in sorted(iset & alive) if deg[v] <= gamma - 1]
-            if not picks:
+            v = min((v for v in iset & deg.keys() if deg[v] <= gamma - 1), default=None)
+            if v is None:
                 raise GoodOrderingError("no low-degree independent vertex available")
-            back.append(picks[0])
-            alive.discard(picks[0])
-    order = tuple(front + back[::-1])
-    step = _suffix_closures(g, order)
-    wc = 1 + max(step) if step else 1
-    if wc != gamma:
+            back.append(v)
+        engine.remove(v)
+        del deg[v]
+        for w in g.adj(v) & deg.keys():
+            deg[w] -= 1
+    ordering = ClosureEngine(g).peel(tuple(front + back[::-1]))
+    if ordering.weak_closure != gamma:
         raise GoodOrderingError("constructed ordering does not certify the weak closure")
-    pos = {v: i for i, v in enumerate(order)}
+    pos = ordering.position()
     if part.clique and part.independent:
         if max(pos[v] for v in part.clique) > min(pos[v] for v in part.independent):
             raise GoodOrderingError("clique vertices must all come first")
-    return ClosureOrdering(order, step, wc)
+    return ordering
 
 
 def trimmed_neighborhoods(g: Graph, part: SplitPartition,

@@ -1,9 +1,9 @@
-"""Small immutable undirected graphs with dense integer vertex ids.
+"""Immutable undirected graphs with dense integer vertex ids.
 
-Everything in this package works at desk scale (tens of vertices), so the
-representation favours exactness and determinism over asymptotics: adjacency
-is stored as frozensets plus sorted tuples, and all iteration orders are
-fixed by vertex id.
+Adjacency is stored as frozensets plus sorted tuples, so membership and
+intersection tests are cheap and all iteration orders are fixed by vertex
+id. The polynomial layers built on it handle sparse graphs with thousands
+of vertices; the exact oracles stay exponential and are capped.
 """
 from __future__ import annotations
 
@@ -45,6 +45,10 @@ class Graph:
     def adj(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v) as a frozenset."""
         return self._sets[v]
+
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """N(v) for every vertex v, indexed by v."""
+        return self._sets
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Open neighborhood N(v), sorted ascending."""

@@ -80,7 +80,7 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError(line_no, col, msg)
 
     def intval(tok: str, line_no: int, col: int, what: str) -> int:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             bail(line_no, col, f"{what} must be a nonnegative integer, got {tok!r}")
         return int(tok)
 

@@ -1,13 +1,15 @@
 """Command-line behavior: subcommands, exit codes, file outputs."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from closurekernels.cli import main
-from closurekernels.instance_io import parse_instance
+from closurekernels.graph import Graph
+from closurekernels.instance_io import InstanceFile, parse_instance, write_instance
 from closurekernels.oracles import solve_capvc_exact
 from closurekernels import verify as verify_mod
 
@@ -327,6 +329,28 @@ class TestGenerate:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+class TestLargeSparseInput:
+    def test_params_and_kernels_finish_on_g3000(self, capsys, tmp_path):
+        # G(n, 8/n) at n = 3000, drawn with its expected edge count: the
+        # sparse regime the paper targets. Only completion is checked.
+        n = 3000
+        rng = random.Random(3000)
+        edges = set()
+        while len(edges) < 4 * (n - 1):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = Graph(n, sorted(edges))
+        graph = write(tmp_path, "g.ck", write_instance(InstanceFile("graph", g, 0)))
+        code, out, err = run(capsys, "params", graph)
+        assert code == 0 and "weak-closure:" in out, err
+        for kind, cap in (("capvc", (2,) * n), ("im", None)):
+            src = write(tmp_path, f"{kind}.ck",
+                        write_instance(InstanceFile(kind, g, 5, cap=cap)))
+            code, _, err = run(capsys, "kernel", kind, src,
+                               "--out", str(tmp_path / f"{kind}.out.ck"))
+            assert code == 0, err
 
 
 class TestEntryPoints:

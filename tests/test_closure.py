@@ -6,6 +6,9 @@ import pytest
 
 from closurekernels.closure import (
     ClassCounts,
+    ClosureEngine,
+    ClosureOrdering,
+    _suffix_closures,
     closure_number,
     degeneracy,
     exhaustive_weak_closure,
@@ -52,6 +55,92 @@ def brute_weak_closure_by_permutations(g):
         if best is None or cand < best:
             best = cand
     return 1 if best is None else best
+
+
+def naive_weak_closure_ordering(g):
+    # reference peeling: every closure recomputed from scratch at every
+    # step, minimum closure first, ties to the smallest id
+    remaining = set(g.vertices())
+    order, steps = [], []
+    while remaining:
+        best_v, best_cl = -1, None
+        for v in sorted(remaining):
+            nv = g.adj(v) & remaining
+            cl = 0
+            for w in remaining:
+                if w != v and w not in nv:
+                    cl = max(cl, len(nv & g.adj(w) & remaining))
+            if best_cl is None or cl < best_cl:
+                best_v, best_cl = v, cl
+        order.append(best_v)
+        steps.append(best_cl)
+        remaining.remove(best_v)
+    return ClosureOrdering(tuple(order), tuple(steps), 1 + max(steps, default=0))
+
+
+def naive_degeneracy(g):
+    remaining = set(g.vertices())
+    order, d = [], 0
+    while remaining:
+        v = min(remaining, key=lambda u: (len(g.adj(u) & remaining), u))
+        d = max(d, len(g.adj(v) & remaining))
+        order.append(v)
+        remaining.remove(v)
+    return d, tuple(order)
+
+
+def with_twins(g, rng):
+    # each vertex gets 0-2 copies, each a false twin (same open
+    # neighborhood) or a true twin (also adjacent to the original)
+    edges = g.edges()
+    n = g.n
+    for v in range(g.n):
+        for _ in range(rng.randint(0, 2)):
+            edges += [(w, n) for w in g.neighbors(v)]
+            if rng.random() < 0.5:
+                edges.append((v, n))
+            n += 1
+    return Graph(n, edges)
+
+
+def engine_cases():
+    rng = random.Random(1616)
+    for _ in range(300):
+        n = rng.randint(0, 16)
+        yield random_graph(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), rng)
+    for k in range(1, 8):
+        yield complete_graph(k)
+        yield star_graph(k)
+        yield empty_graph(k)
+        for b in range(1, 7):
+            yield complete_bipartite(k, b)
+    for _ in range(60):
+        yield with_twins(random_graph(rng.randint(1, 6), rng.choice([0.3, 0.6]), rng), rng)
+
+
+def test_engine_matches_naive_peeling():
+    for g in engine_cases():
+        assert weak_closure_ordering(g) == naive_weak_closure_ordering(g)
+
+
+def test_closure_number_is_one_plus_max_vertex_closure():
+    for g in engine_cases():
+        assert closure_number(g) == 1 + max((vertex_closure(g, v) for v in g.vertices()), default=0)
+
+
+def test_degeneracy_matches_min_scan():
+    for g in engine_cases():
+        assert degeneracy(g) == naive_degeneracy(g)
+
+
+def test_engine_replay_matches_suffix_closures():
+    rng = random.Random(77)
+    for g in engine_cases():
+        order = list(g.vertices())
+        rng.shuffle(order)
+        replay = ClosureEngine(g).peel(tuple(order))
+        assert replay.step_closure == _suffix_closures(g, tuple(order))
+        assert verify_closure_ordering(g, replay)
 
 
 def test_vertex_closure_basics():

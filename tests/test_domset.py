@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from closurekernels.closure import weak_closure_ordering
+from closurekernels.closure import _suffix_closures, weak_closure_ordering
 from closurekernels.domset import (
     DsDecided,
     DsInstance,
@@ -113,6 +113,15 @@ def test_good_ordering_certifies_and_orders_clique_first():
         pos = ordering.position()
         if part.clique and part.independent:
             assert max(pos[v] for v in part.clique) < min(pos[v] for v in part.independent)
+
+
+def test_good_ordering_certificate_matches_suffix_recompute():
+    rng = random.Random(131)
+    for _ in range(80):
+        g = random_split_graph(rng, max_n=30)
+        ordering = good_ordering(g, split_partition(g))
+        assert ordering.step_closure == _suffix_closures(g, ordering.order)
+        assert ordering.weak_closure == 1 + max(ordering.step_closure, default=0)
 
 
 def test_trimmed_neighborhoods_star():

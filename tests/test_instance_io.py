@@ -90,6 +90,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance("p mystery 2 1 0\ne 0 1\n")
 
+    @pytest.mark.parametrize("text, col", [
+        ("p convc \u00b2  4 3\n", 9),            # superscript two
+        ("p graph 2 1 0\ne 0 \u0661\n", 5),     # Arabic-Indic one
+        ("p graph 2 1 \uff10\ne 0 1\n", 13),    # fullwidth zero
+    ])
+    def test_non_ascii_digits_rejected_with_position(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.col == col
+
     def test_edge_count_must_match(self):
         with pytest.raises(ParseError):
             parse_instance("p graph 2 2 0\ne 0 1\n")
