@@ -6,8 +6,9 @@ a validated witness), verify (randomized cross-checking suites), generate
 (instance families, including the hard-instance constructions).
 
 Exit codes are a stable contract: 0 success or decided, 1 verification suite
-failure, 2 usage error (including kind mismatches and oracle cap overruns),
-3 instance parse error.
+failure, 2 usage error (kind mismatches, oracle cap overruns, unwritable
+output paths), 3 instance parse error. Output files are overwritten in place,
+following symlinks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -101,12 +103,25 @@ def _read_instance(path: str) -> InstanceFile:
     return parse_instance(text)
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text over path in place, then trim a regular file to its length.
+
+    A truncating open of a file written moments before can stall for tens of
+    milliseconds while the file system flushes the old data."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(out_path, text)
 
 
 def _jsonable(value):
@@ -278,8 +293,7 @@ def cmd_kernel(args) -> int:
     _emit(write_instance(from_problem(reduced_problem)), args.out)
     trace_text = json.dumps(trace, sort_keys=True, indent=2) + "\n"
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace_text)
+        _write_file(args.trace, trace_text)
     if args.out is not None:
         applied = len(trace["rules"])
         tail = f", decided {'yes' if decided['answer'] else 'no'}" if decided else ""
@@ -379,9 +393,7 @@ def cmd_solve(args) -> int:
         lines = _validated_witness(problem_name, problem, res.witness)
         print(f"witness: {len(lines)} lines (validated)")
         if args.witness is not None:
-            with open(args.witness, "w", encoding="utf-8") as fh:
-                fh.write("c validated witness\n")
-                fh.write("\n".join(lines) + "\n")
+            _write_file(args.witness, "c validated witness\n" + "\n".join(lines) + "\n")
     return 0
 
 
@@ -404,11 +416,13 @@ def cmd_verify(args) -> int:
             print(f"  {message}")
         if not result.passed:
             failed = True
-            os.makedirs(args.dump_dir, exist_ok=True)
+            try:
+                os.makedirs(args.dump_dir, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.dump_dir}: {exc.strerror}") from exc
             for artifact in result.artifacts:
                 path = os.path.join(args.dump_dir, f"{result.name}-{dumped}.ck")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(write_instance(artifact))
+                _write_file(path, write_instance(artifact))
                 print(f"  counterexample written to {path}")
                 dumped += 1
     return 1 if failed else 0

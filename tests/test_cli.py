@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, file outputs."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -165,14 +166,16 @@ class TestKernel:
         text = "p convc 6 6 2\ne 0 1\ne 0 2\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
         src = write(tmp_path, "a.ck", text)
         outputs = []
-        for i in range(2):
+        # the second run writes over the first run's files, the third to
+        # fresh paths
+        for i in (0, 0, 1):
             out_path = str(tmp_path / f"red{i}.ck")
             trace_path = str(tmp_path / f"tr{i}.json")
             code, _, _ = run(capsys, "kernel", "convc", src,
                              "--out", out_path, "--trace", trace_path)
             assert code == 0
             outputs.append((open(out_path).read(), open(trace_path).read()))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestSolve:
@@ -230,6 +233,11 @@ class TestSolve:
         assert code == 2 and "does not match" in err
 
 
+def failing_suite(trials=None, seed=0):
+    bad = InstanceFile(kind="graph", graph=Graph(2, [(0, 1)]), k=0)
+    return verify_mod.SuiteResult("stub", False, 3, ("synthetic failure",), (bad,))
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "composition-patterns")
@@ -247,15 +255,7 @@ class TestVerifyCommand:
 
     def test_failing_suite_dumps_counterexamples(self, capsys, tmp_path,
                                                  monkeypatch):
-        from closurekernels.graph import Graph
-        from closurekernels.instance_io import InstanceFile
-        from closurekernels.verify import SuiteResult
-
-        def stub(trials=None, seed=0):
-            bad = InstanceFile(kind="graph", graph=Graph(2, [(0, 1)]), k=0)
-            return SuiteResult("stub", False, 3, ("synthetic failure",), (bad,))
-
-        monkeypatch.setitem(verify_mod.SUITES, "stub", stub)
+        monkeypatch.setitem(verify_mod.SUITES, "stub", failing_suite)
         dump = str(tmp_path / "dumps")
         code, out, _ = run(capsys, "verify", "--suite", "stub",
                            "--dump-dir", dump)
@@ -329,6 +329,91 @@ class TestGenerate:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+class TestOutputFiles:
+    """Output files keep the semantics of a truncating text-mode write."""
+
+    TEXT = "p convc 6 6 2\ne 0 1\ne 0 2\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
+
+    def reduced(self, capsys, tmp_path):
+        src = write(tmp_path, "a.ck", self.TEXT)
+        code, out, _ = run(capsys, "kernel", "convc", src)
+        assert code == 0
+        return src, out
+
+    def test_shorter_file_over_longer_leaves_only_new_bytes(self, capsys, tmp_path):
+        src, expected = self.reduced(capsys, tmp_path)
+        out_path = write(tmp_path, "red.ck", "c stale\n" * 1000)
+        trace_path = write(tmp_path, "tr.json", "x" * 100000)
+        assert run(capsys, "kernel", "convc", src, "--out", out_path,
+                   "--trace", trace_path)[0] == 0
+        assert open(out_path).read() == expected
+        trace_text = open(trace_path).read()
+        assert trace_text.endswith("}\n") and json.loads(trace_text)["problem"] == "convc"
+
+    def test_symlink_updates_target_and_stays_a_link(self, capsys, tmp_path):
+        src, expected = self.reduced(capsys, tmp_path)
+        target = write(tmp_path, "target.ck", "c old content, longer than the new\n" * 50)
+        link = tmp_path / "link.ck"
+        link.symlink_to(target)
+        assert run(capsys, "kernel", "convc", src, "--out", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == target
+        assert open(target).read() == expected
+
+    def test_hard_link_sees_new_content(self, capsys, tmp_path):
+        src, expected = self.reduced(capsys, tmp_path)
+        out_path = write(tmp_path, "red.ck", "c old\n" * 500)
+        os.link(out_path, tmp_path / "alias.ck")
+        assert run(capsys, "kernel", "convc", src, "--out", out_path)[0] == 0
+        assert open(tmp_path / "alias.ck").read() == expected
+        assert os.stat(out_path).st_ino == os.stat(tmp_path / "alias.ck").st_ino
+
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path):
+        src, _ = self.reduced(capsys, tmp_path)
+        old = os.umask(0o027)
+        try:
+            assert run(capsys, "kernel", "convc", src,
+                       "--out", str(tmp_path / "red.ck"))[0] == 0
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "red.ck").st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_out_to_dev_null(self, capsys, tmp_path):
+        src, _ = self.reduced(capsys, tmp_path)
+        assert run(capsys, "kernel", "convc", src, "--out", os.devnull)[0] == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_to_dev_stdout_pipe_matches_stdout_mode(self):
+        argv = [sys.executable, "-m", "closurekernels", "generate",
+                "weakly-closed", "--n", "40", "--seed", "7"]
+        piped = subprocess.run(argv + ["--out", "/dev/stdout"], capture_output=True)
+        plain = subprocess.run(argv, capture_output=True)
+        assert piped.returncode == plain.returncode == 0, piped.stderr
+        assert piped.stdout == plain.stdout and plain.stdout.startswith(b"p graph 40 ")
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        src, _ = self.reduced(capsys, tmp_path)
+        code, _, err = run(capsys, "kernel", "convc", src, "--out", str(tmp_path))
+        assert code == 2 and f"cannot write {tmp_path}" in err
+
+    def test_unwritable_trace_is_a_usage_error(self, capsys, tmp_path):
+        src, _ = self.reduced(capsys, tmp_path)
+        trace = str(tmp_path / "no" / "such" / "t.json")
+        code, _, err = run(capsys, "kernel", "convc", src, "--trace", trace)
+        assert code == 2 and f"cannot write {trace}: No such file" in err
+
+    def test_unwritable_witness_is_a_usage_error(self, capsys, tmp_path):
+        src = write(tmp_path, "a.ck", C4_CONVC)
+        witness = str(tmp_path / "no" / "w.txt")
+        code, _, err = run(capsys, "solve", "convc", src, "--witness", witness)
+        assert code == 2 and f"cannot write {witness}" in err
+
+    def test_unwritable_dump_dir_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(verify_mod.SUITES, "stub", failing_suite)
+        dump = os.path.join(write(tmp_path, "file", ""), "dumps")
+        code, _, err = run(capsys, "verify", "--suite", "stub", "--dump-dir", dump)
+        assert code == 2 and f"cannot write {dump}" in err
 
 
 class TestLargeSparseInput:

@@ -1,5 +1,6 @@
 """Tests for the instance file format."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closurekernels.capvc import CapVcInstance
 from closurekernels.convc import AnnotatedConVcInstance, CocInstance, ConVcInstance
@@ -151,3 +152,45 @@ class TestProblemBridge:
     def test_from_problem_rejects_unknown(self):
         with pytest.raises(TypeError):
             from_problem(object())
+
+
+# One valid file of every kind, each line kind among them: header, comment,
+# blank, cap, red, part and edge lines.
+VALID_FILES = (
+    SAMPLE,
+    "p graph 3 2 0\ne 10 20\ne 10 30\n",
+    "c caps\np capvc 3 2 1\ncap 0 2\ncap 2 1\ne 0 1\ne 0 2\n",
+    "p convc 3 1 2\nred 1\n\ne 0 1\n",
+    "p coc 4 3 1 2\ne 0 1\ne 1 2\ne 2 3\n",
+    "p im 4 2 1\ne 0 1\ne 2 3\n",
+    "p ds 3 3 1\ne 0 1\ne 0 2\ne 1 2\n",
+    "p is 4 2 2\npart 0 0\npart 1 0\npart 2 1\npart 3 1\ne 0 1\ne 2 3\n",
+)
+
+# Characters the format uses, plus signs, tabs, carriage returns, letters it
+# does not use and non-ASCII digits.
+_EDIT_CHARS = st.sampled_from(list("0123456789 \n\t\r-+pecrdatl_x.") +
+                              ["\u00b2", "\u0661", "\uff10", "\u00e9"])
+_EDIT = st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                  st.integers(0, 10 ** 6), _EDIT_CHARS)
+
+
+def _apply_edits(text, edits):
+    for op, pos, ch in edits:
+        pos %= len(text) + 1
+        if op == "insert":
+            text = text[:pos] + ch + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + ch + text[pos + 1:]
+    return text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(VALID_FILES), st.lists(_EDIT, min_size=1, max_size=4))
+def test_mutated_files_parse_or_raise_parse_error(text, edits):
+    try:
+        parse_instance(_apply_edits(text, edits))
+    except ParseError:
+        pass
