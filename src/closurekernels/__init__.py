@@ -5,7 +5,9 @@ Library layout:
 - graph: immutable dense-id graphs and basic set predicates
 - closure: closure number, weak closure orderings, neighborhood classes
 - combinatorics: matchings, the vertex cover LP, sunflowers
-- capvc / convc / induced_matching / domset: reduction rules and kernels
+- reduction: the rule driver every kernel runs (`exhaust`) and `Decided`
+- capvc / convc / induced_matching / domset: reduction rules, kernels, size
+  bound reports and canonical decided instances
 - ramsey: clique-or-independent-set thresholds and search
 - oracles: brute-force exact solvers with validated witnesses
 - generators: hard-instance constructions and random families

@@ -9,9 +9,11 @@ negative-capacity vertex can never take an edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from .closure import cover_class_report
 from .graph import Graph, delete_vertices
+from .reduction import exhaust
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,13 @@ def twin_crown_rule(inst: CapVcInstance) -> tuple[CapVcInstance, dict | None]:
 def kernelize_capvc(inst: CapVcInstance) -> tuple[CapVcInstance, list[dict]]:
     """Apply the twin-class rule to exhaustion. Trace entries record vertex
     ids in the numbering current at the time of each application."""
-    trace: list[dict] = []
-    while True:
-        inst, entry = twin_crown_rule(inst)
-        if entry is None:
-            return inst, trace
-        trace.append(entry)
+    return exhaust(inst, (twin_crown_rule,))
+
+
+def size_bound_report(inst: CapVcInstance) -> dict:
+    """Size check of a reduced instance: k plus the class-count bound with
+    classes of at most k + 2 members."""
+    return cover_class_report(inst.graph, inst.k, inst.k + 2)
 
 
 def replay_capvc_trace(inst: CapVcInstance, trace: list[dict]) -> CapVcInstance:

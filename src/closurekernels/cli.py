@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import stat
@@ -23,26 +22,11 @@ import sys
 from dataclasses import replace
 from itertools import combinations
 
-from .capvc import CapVcInstance, kernelize_capvc
-from .closure import (
-    closure_number,
-    count_maximal_cliques,
-    degeneracy,
-    neighborhood_class_bound,
-    weak_closure_ordering,
-)
-from .convc import (
-    AnnotatedConVcInstance,
-    CocInstance,
-    ConVcInstance,
-    Decided,
-    attach_leaves,
-    kernelize_coc,
-    kernelize_convc,
-    kernelize_convc_annotated,
-    twin_classes,
-)
-from .domset import DsDecided, DsInstance, is_split, kernelize_ds_split, split_partition
+from . import capvc, convc, domset, induced_matching
+from .capvc import CapVcInstance
+from .closure import closure_number, degeneracy, weak_closure_ordering
+from .convc import AnnotatedConVcInstance, CocInstance, attach_leaves
+from .domset import is_split
 from .generators import (
     gen_capvc_lowerbound,
     gen_is_composition,
@@ -54,12 +38,10 @@ from .generators import (
 from .graph import (
     Graph,
     clique_number,
-    is_clique,
     is_connected_set,
     is_independent_set,
     is_vertex_cover,
 )
-from .induced_matching import ImDecided, ImInstance, kernelize_im
 from .instance_io import (
     InstanceFile,
     ParseError,
@@ -82,6 +64,7 @@ from .oracles import (
     solve_is_exact,
     solve_multicolored_is_exact,
 )
+from .reduction import Decided
 from . import verify as verify_mod
 
 TRACE_SCHEMA_VERSION = 1
@@ -122,6 +105,25 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
     else:
         _write_file(out_path, text)
+
+
+def _load_problem(args, inst: InstanceFile, problem_name: str):
+    """The file's typed instance after the kind check and the --k and --ell
+    overrides."""
+    if inst.kind != problem_name:
+        raise UsageError(f"instance kind {inst.kind!r} does not match problem "
+                         f"{problem_name!r}")
+    problem = to_problem(inst)
+    if args.k is not None:
+        if problem_name == "is":
+            problem = (problem[0], problem[1], args.k)
+        else:
+            problem = replace(problem, k=args.k)
+    if args.ell is not None:
+        if problem_name != "coc":
+            raise UsageError("--ell only applies to coc instances")
+        problem = replace(problem, ell=args.ell)
+    return problem
 
 
 def _jsonable(value):
@@ -167,62 +169,14 @@ def cmd_params(args) -> int:
 
 
 def _instance_facts(problem) -> dict:
+    facts = {"n": problem.graph.n, "m": problem.graph.m, "k": problem.k}
     if isinstance(problem, CapVcInstance):
-        return {"n": problem.graph.n, "m": problem.graph.m, "k": problem.k,
-                "cap": list(problem.cap)}
-    if isinstance(problem, AnnotatedConVcInstance):
-        return {"n": problem.graph.n, "m": problem.graph.m, "k": problem.k,
-                "red": sorted(problem.red)}
-    if isinstance(problem, CocInstance):
-        return {"n": problem.graph.n, "m": problem.graph.m, "k": problem.k,
-                "ell": problem.ell}
-    return {"n": problem.graph.n, "m": problem.graph.m, "k": problem.k}
-
-
-_DECIDED_FILES = {
-    ("convc", True): lambda: AnnotatedConVcInstance(Graph(0), frozenset(), 0),
-    ("convc", False): lambda: AnnotatedConVcInstance(Graph(2, [(0, 1)]), frozenset(), 0),
-    ("im", True): lambda: ImInstance(Graph(0), 0),
-    ("im", False): lambda: ImInstance(Graph(1), 1),
-    ("ds", True): lambda: DsInstance(Graph(0), 0),
-    ("ds", False): lambda: DsInstance(Graph(1), 0),
-}
-
-
-def _bound_report(problem_name: str, mode: str, out) -> dict | None:
-    """Size-bound verdict on the reduced instance, where a bound is tracked."""
-    if isinstance(out, (Decided, ImDecided, DsDecided)):
-        return {"verdict": "decided"}
-    g = out.graph
-    if problem_name == "capvc":
-        wc = weak_closure_ordering(g).weak_closure
-        mk = count_maximal_cliques(g)
-        bound = out.k + neighborhood_class_bound(out.k, wc, out.k + 2, clique_count=mk)
-        return {"name": "cover-plus-class-count", "value": bound, "measured": g.n,
-                "verdict": "within" if g.n <= bound else "exceeded"}
-    if problem_name == "convc" and isinstance(out, AnnotatedConVcInstance):
-        cl = closure_number(g)
-        bound = out.k + cl * out.k * (out.k - 1) // 2
-        return {"name": "annotated-quadratic", "value": bound, "measured": g.n,
-                "verdict": "within" if g.n < bound else "exceeded"}
-    if problem_name == "convc" and mode == "gamma":
-        wc = weak_closure_ordering(g).weak_closure
-        mk = count_maximal_cliques(g)
-        cap = max((len(c) for c in twin_classes(g)), default=1)
-        bound = out.k + neighborhood_class_bound(out.k, wc, cap, clique_count=mk)
-        return {"name": "cover-plus-class-count", "value": bound, "measured": g.n,
-                "verdict": "within" if g.n <= bound else "exceeded"}
-    if problem_name == "ds":
-        part = split_partition(g)
-        wc = weak_closure_ordering(g).weak_closure
-        isize, csize = len(part.independent), len(part.clique)
-        ibound = math.factorial(wc - 1) * (out.k + 2) ** (wc - 1)
-        ok = isize < ibound and csize <= wc * isize + 1
-        return {"name": "split-side-counts", "independent": isize,
-                "independent_bound": ibound, "clique": csize,
-                "clique_bound": wc * isize + 1,
-                "verdict": "within" if ok else "exceeded"}
-    return None
+        facts["cap"] = list(problem.cap)
+    elif isinstance(problem, AnnotatedConVcInstance):
+        facts["red"] = sorted(problem.red)
+    elif isinstance(problem, CocInstance):
+        facts["ell"] = problem.ell
+    return facts
 
 
 def cmd_kernel(args) -> int:
@@ -230,50 +184,44 @@ def cmd_kernel(args) -> int:
     problem_name = args.problem or inst.kind
     if problem_name not in KERNEL_PROBLEMS:
         raise UsageError(f"no kernel pipeline for kind {problem_name!r}")
-    if inst.kind != problem_name:
-        raise UsageError(f"instance kind {inst.kind!r} does not match problem "
-                         f"{problem_name!r}")
-    problem = to_problem(inst)
-    if args.k is not None:
-        problem = replace(problem, k=args.k)
-    if args.ell is not None:
-        if problem_name != "coc":
-            raise UsageError("--ell only applies to coc instances")
-        problem = replace(problem, ell=args.ell)
+    problem = _load_problem(args, inst, problem_name)
 
     mode = args.mode
-    if problem_name == "convc" and isinstance(problem, AnnotatedConVcInstance):
-        out, rules = kernelize_convc_annotated(problem)
-    elif problem_name == "convc" and mode == "c":
-        lifted = AnnotatedConVcInstance(problem.graph, frozenset(), problem.k)
-        out, rules = kernelize_convc_annotated(lifted)
-    elif problem_name == "convc":
-        out, rules = kernelize_convc(problem)
-    elif problem_name == "capvc":
-        out, rules = kernelize_capvc(problem)
-    elif problem_name == "coc":
-        out, rules = kernelize_coc(problem)
-    elif problem_name == "im":
-        out, rules = kernelize_im(problem)
-    else:
-        if not is_split(problem.graph):
-            raise UsageError("ds kernel needs a split graph")
-        out, rules = kernelize_ds_split(problem)
+    route = problem_name
+    if problem_name == "convc":
+        annotated = isinstance(problem, AnnotatedConVcInstance)
+        route = "convc-red" if annotated else f"convc-{mode}"
+    if problem_name == "ds" and not is_split(problem.graph):
+        raise UsageError("ds kernel needs a split graph")
+    # Built per call, so every function is looked up when it runs and a
+    # wrapper rebound over it (as perfbench/tracing.py does) sees the call.
+    pipeline, bound_report = {
+        "capvc": (capvc.kernelize_capvc, capvc.size_bound_report),
+        "convc-gamma": (convc.kernelize_convc, convc.twinset_bound_report),
+        "convc-c": (lambda p: convc.kernelize_convc_annotated(
+            AnnotatedConVcInstance(p.graph, frozenset(), p.k)),
+            convc.annotated_bound_report),
+        "convc-red": (convc.kernelize_convc_annotated, convc.annotated_bound_report),
+        "coc": (convc.kernelize_coc, None),
+        "im": (induced_matching.kernelize_im, None),
+        "ds": (domset.kernelize_ds_split, domset.split_bound_report),
+    }[route]
+    out, rules = pipeline(problem)
 
     g = problem.graph
     ordering = weak_closure_ordering(g)
     decided = None
-    if isinstance(out, (Decided, ImDecided, DsDecided)):
+    if isinstance(out, Decided):
         decided = {"answer": out.answer, "reason": out.reason}
-        reduced_problem = _DECIDED_FILES[(problem_name, out.answer)]()
-    elif problem_name == "convc" and mode == "c" \
-            and not isinstance(problem, AnnotatedConVcInstance):
-        # the closure-number route reduces in annotated form (the bound below
+        module = {"convc": convc, "im": induced_matching, "ds": domset}[problem_name]
+        reduced_problem = module.decided_instance(out)
+        bound = {"verdict": "decided"}
+    else:
+        # the closure-number route reduces in annotated form (its bound
         # applies to that form) and hands back a plain instance with pendant
         # leaves standing in for the red marks
-        reduced_problem = attach_leaves(out)
-    else:
-        reduced_problem = out
+        reduced_problem = attach_leaves(out) if route == "convc-c" else out
+        bound = bound_report(out) if bound_report else None
 
     trace = {
         "schema_version": TRACE_SCHEMA_VERSION,
@@ -288,7 +236,7 @@ def cmd_kernel(args) -> int:
         "rules": _jsonable(rules),
         "decided": decided,
         "output": _instance_facts(reduced_problem),
-        "bound": _bound_report(problem_name, mode, out),
+        "bound": bound,
     }
     _emit(write_instance(from_problem(reduced_problem)), args.out)
     trace_text = json.dumps(trace, sort_keys=True, indent=2) + "\n"
@@ -345,24 +293,10 @@ def _validated_witness(problem_name: str, problem, witness) -> list[str]:
 
 
 def cmd_solve(args) -> int:
-    inst = _read_instance(args.path)
     problem_name = args.problem
-    if inst.kind != problem_name:
-        raise UsageError(f"instance kind {inst.kind!r} does not match problem "
-                         f"{problem_name!r}")
+    problem = _load_problem(args, _read_instance(args.path), problem_name)
     cap_n = args.oracle_cap
     cap_m = cap_n * (cap_n - 1) // 2
-    problem = to_problem(inst)
-    if args.k is not None:
-        if problem_name == "is":
-            problem = (problem[0], problem[1], args.k)
-        else:
-            problem = replace(problem, k=args.k)
-    if args.ell is not None:
-        if problem_name != "coc":
-            raise UsageError("--ell only applies to coc instances")
-        problem = replace(problem, ell=args.ell)
-
     try:
         if problem_name == "capvc":
             res = solve_capvc_exact(problem.graph, problem.cap, problem.k,
@@ -388,12 +322,16 @@ def cmd_solve(args) -> int:
         raise UsageError(f"instance above the oracle size cap ({exc}); "
                          f"raise --oracle-cap to force the run") from exc
 
-    print(f"answer: {'yes' if res.answer else 'no'}")
+    # the witness file is written before anything is printed, so a failed
+    # write leaves stdout empty
+    lines = None
     if res.answer and res.witness is not None:
         lines = _validated_witness(problem_name, problem, res.witness)
-        print(f"witness: {len(lines)} lines (validated)")
         if args.witness is not None:
             _write_file(args.witness, "c validated witness\n" + "\n".join(lines) + "\n")
+    print(f"answer: {'yes' if res.answer else 'no'}")
+    if lines is not None:
+        print(f"witness: {len(lines)} lines (validated)")
     return 0
 
 

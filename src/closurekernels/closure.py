@@ -306,3 +306,14 @@ def neighborhood_class_bound(k: int, weak_closure: int, t: int, clique_count: in
     mk = clique_count if clique_count is not None else moon_moser_bound(k)
     s = sum(comb(k, i) for i in range(weak_closure))
     return t * mk * ((weak_closure - 1) * comb(k, 2) + mk * k * s) * s
+
+
+def cover_class_report(g: Graph, k: int, t: int) -> dict:
+    """Size check of a reduced cover instance on g: n against k plus the
+    class-count bound, with the weak closure and the maximal-clique count
+    measured on g itself."""
+    wc = weak_closure_ordering(g).weak_closure
+    mk = count_maximal_cliques(g)
+    bound = k + neighborhood_class_bound(k, wc, t, clique_count=mk)
+    return {"name": "cover-plus-class-count", "value": bound, "measured": g.n,
+            "verdict": "within" if g.n <= bound else "exceeded"}

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .capvc import twin_classes
+from .closure import closure_number, cover_class_report
 from .graph import (
     Graph,
     connected_components,
@@ -23,6 +24,7 @@ from .graph import (
     is_clique,
     is_connected_set,
 )
+from .reduction import Decided, exhaust
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,6 @@ class AnnotatedConVcInstance:
         for v in self.red:
             if not (0 <= v < self.graph.n):
                 raise ValueError(f"red vertex {v} out of range")
-
-
-@dataclass(frozen=True)
-class Decided:
-    """A rule decided the instance outright."""
-
-    answer: bool
-    reason: str
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +78,14 @@ def twinset_rule(inst: ConVcInstance) -> tuple[ConVcInstance, dict | None]:
 
 def kernelize_convc(inst: ConVcInstance) -> tuple[ConVcInstance, list[dict]]:
     """Twinset rule to exhaustion."""
-    trace: list[dict] = []
-    while True:
-        inst, entry = twinset_rule(inst)
-        if entry is None:
-            return inst, trace
-        trace.append(entry)
+    return exhaust(inst, (twinset_rule,))
+
+
+def twinset_bound_report(inst: ConVcInstance) -> dict:
+    """Size check of a reduced instance: k plus the class-count bound with
+    classes as large as the largest twin class left."""
+    cap = max((len(c) for c in twin_classes(inst.graph)), default=1)
+    return cover_class_report(inst.graph, inst.k, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +160,15 @@ def simplicial_rule(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstanc
     return AnnotatedConVcInstance(new_graph, frozenset(back[w] for w in new_red), new_k), entry
 
 
+def _simplicial_where_defined(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstance | Decided, dict | None]:
+    """The simplicial rule on connected graphs with at least 3 vertices;
+    elsewhere it does not fire."""
+    g = inst.graph
+    if g.n < 3 or len(connected_components(g)) != 1:
+        return inst, None
+    return simplicial_rule(inst)
+
+
 def attach_leaves(inst: AnnotatedConVcInstance) -> ConVcInstance:
     """Forget annotations: pendant leaves force red vertices into any
     connected cover of the resulting plain instance."""
@@ -176,35 +181,24 @@ def attach_leaves(inst: AnnotatedConVcInstance) -> ConVcInstance:
     return ConVcInstance(Graph(nxt, edges), inst.k)
 
 
-def _decided_plain(decision: Decided) -> ConVcInstance:
-    # canonical trivially-yes / trivially-no plain instances
+def decided_instance(decision: Decided) -> AnnotatedConVcInstance:
+    """The canonical trivially-yes or trivially-no instance (no red marks)."""
     if decision.answer:
-        return ConVcInstance(Graph(0), 0)
-    return ConVcInstance(Graph(2, [(0, 1)]), 0)
+        return AnnotatedConVcInstance(Graph(0), frozenset(), 0)
+    return AnnotatedConVcInstance(Graph(2, [(0, 1)]), frozenset(), 0)
 
 
 def kernelize_convc_annotated(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstance | Decided, list[dict]]:
     """Trivial rules and the simplicial rule to exhaustion."""
-    trace: list[dict] = []
-    while True:
-        nxt, entry = trivial_rules(inst)
-        if entry is not None:
-            trace.append(entry)
-        if isinstance(nxt, Decided):
-            return nxt, trace
-        inst = nxt
-        if entry is not None:
-            continue
-        g = inst.graph
-        if g.n < 3 or len(connected_components(g)) != 1:
-            return inst, trace
-        nxt, entry = simplicial_rule(inst)
-        if entry is None:
-            return inst, trace
-        trace.append(entry)
-        if isinstance(nxt, Decided):
-            return nxt, trace
-        inst = nxt
+    return exhaust(inst, (trivial_rules, _simplicial_where_defined))
+
+
+def annotated_bound_report(inst: AnnotatedConVcInstance) -> dict:
+    """Size check of a reduced annotated instance: n below k + c*k*(k-1)/2."""
+    g, k = inst.graph, inst.k
+    bound = k + closure_number(g) * k * (k - 1) // 2
+    return {"name": "annotated-quadratic", "value": bound, "measured": g.n,
+            "verdict": "within" if g.n < bound else "exceeded"}
 
 
 def kernelize_convc_c(inst: ConVcInstance) -> tuple[ConVcInstance, list[dict]]:
@@ -212,7 +206,7 @@ def kernelize_convc_c(inst: ConVcInstance) -> tuple[ConVcInstance, list[dict]]:
     annotated = AnnotatedConVcInstance(inst.graph, frozenset(), inst.k)
     reduced, trace = kernelize_convc_annotated(annotated)
     if isinstance(reduced, Decided):
-        return _decided_plain(reduced), trace
+        reduced = decided_instance(reduced)
     return attach_leaves(reduced), trace
 
 
@@ -321,13 +315,4 @@ def kernelize_coc(inst: CocInstance) -> tuple[CocInstance, list[dict]]:
     """Small components out first, then twin deletions, until neither rule
     fires. Running the component sweep first keeps every surviving twin set
     attached to a nonempty outside neighborhood."""
-    trace: list[dict] = []
-    while True:
-        inst, entry = small_component_rule(inst)
-        if entry is not None:
-            trace.append(entry)
-            continue
-        inst, entry = component_twin_rule(inst)
-        if entry is None:
-            return inst, trace
-        trace.append(entry)
+    return exhaust(inst, (small_component_rule, component_twin_rule))

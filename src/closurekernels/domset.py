@@ -15,6 +15,7 @@ Isolated vertices are self-dominating and get charged to the budget first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .closure import ClosureEngine, ClosureOrdering, weak_closure_ordering
@@ -27,6 +28,7 @@ from .graph import (
     is_clique,
     is_independent_set,
 )
+from .reduction import Decided, exhaust
 
 
 @dataclass(frozen=True)
@@ -37,12 +39,6 @@ class DsInstance:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("budget must be nonnegative")
-
-
-@dataclass(frozen=True)
-class DsDecided:
-    answer: bool
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ def _resolve_partition(g: Graph, part: SplitPartition | None) -> SplitPartition:
     return split_partition(g)
 
 
-def isolated_rule(inst: DsInstance) -> tuple[DsInstance | DsDecided, dict | None]:
+def isolated_rule(inst: DsInstance) -> tuple[DsInstance | Decided, dict | None]:
     """Isolated vertices must dominate themselves: charge each to the
     budget, or decide No when they outnumber it."""
     g = inst.graph
@@ -181,7 +177,7 @@ def isolated_rule(inst: DsInstance) -> tuple[DsInstance | DsDecided, dict | None
     if not iso:
         return inst, None
     if len(iso) > inst.k:
-        return DsDecided(False, "more isolated vertices than budget"), {
+        return Decided(False, "more isolated vertices than budget"), {
             "rule": "isolated", "decided": "no", "isolated": iso}
     new_graph, _ = delete_vertices(g, iso)
     entry = {"rule": "isolated", "removed": iso, "budget_spent": len(iso)}
@@ -291,28 +287,35 @@ def sunflower_rule(inst: DsInstance,
     return DsInstance(new_graph, inst.k), entry
 
 
-def kernelize_ds_split(inst: DsInstance) -> tuple[DsInstance | DsDecided, list[dict]]:
-    """All four reductions to exhaustion, cheapest checks first. The
-    partition and ordering are recomputed from scratch every round."""
+def kernelize_ds_split(inst: DsInstance) -> tuple[DsInstance | Decided, list[dict]]:
+    """The isolated-vertex charge and all four reductions to exhaustion,
+    cheapest checks first. The partition and ordering are recomputed from
+    scratch every round."""
     _resolve_partition(inst.graph, None)
-    trace: list[dict] = []
-    while True:
-        out, entry = isolated_rule(inst)
-        if entry is not None:
-            trace.append(entry)
-        if isinstance(out, DsDecided):
-            return out, trace
-        inst = out
-        if entry is not None:
-            continue
-        for rule in (covers_clique_rule, dominated_clique_vertex_rule,
-                     dominated_independent_vertex_rule, sunflower_rule):
-            inst, entry = rule(inst)
-            if entry is not None:
-                trace.append(entry)
-                break
-        else:
-            return inst, trace
+    return exhaust(inst, (isolated_rule, covers_clique_rule, dominated_clique_vertex_rule,
+                          dominated_independent_vertex_rule, sunflower_rule))
+
+
+def decided_instance(decision: Decided) -> DsInstance:
+    """The canonical trivially-yes or trivially-no instance."""
+    if decision.answer:
+        return DsInstance(Graph(0), 0)
+    return DsInstance(Graph(1), 0)
+
+
+def split_bound_report(inst: DsInstance) -> dict:
+    """Size check of a reduced split instance: the independent side below
+    (gamma-1)! * (k+2)^(gamma-1), the clique side at most gamma times that
+    side plus one."""
+    g, k = inst.graph, inst.k
+    part = split_partition(g)
+    wc = weak_closure_ordering(g).weak_closure
+    isize, csize = len(part.independent), len(part.clique)
+    ibound = math.factorial(wc - 1) * (k + 2) ** (wc - 1)
+    cbound = wc * isize + 1
+    return {"name": "split-side-counts", "independent": isize,
+            "independent_bound": ibound, "clique": csize, "clique_bound": cbound,
+            "verdict": "within" if isize < ibound and csize <= cbound else "exceeded"}
 
 
 def biclique_freeness_report(g: Graph) -> dict:

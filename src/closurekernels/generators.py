@@ -9,7 +9,6 @@ Every generator is deterministic given its arguments and seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from .capvc import CapVcInstance
@@ -293,44 +292,3 @@ def gen_k_ab(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise ValueError("side sizes must be nonnegative")
     return complete_bipartite(a, b)
-
-
-# ---------------------------------------------------------------------------
-# named specs for reproducible corpora
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Recipe for one random instance: family name, parameters, seed.
-
-    expect lists (check, value) pairs verified on the built graph:
-    "gamma_le" bounds the weak closure, "c_le" the closure number.
-    """
-    family: str
-    params: tuple[tuple[str, int], ...]
-    seed: int = 0
-    expect: tuple[tuple[str, int], ...] = ()
-
-
-def build_instance(spec: GeneratorSpec) -> Graph:
-    p = dict(spec.params)
-    if spec.family == "split":
-        g = gen_random_split(p["n"], spec.seed)
-    elif spec.family == "bipartite":
-        g = gen_random_bipartite(p["n"], spec.seed)
-    elif spec.family == "weakly-closed":
-        g = gen_random_weakly_closed(p["n"], p["target_gamma"], spec.seed)
-    elif spec.family == "k-ab":
-        g = gen_k_ab(p["a"], p["b"])
-    else:
-        raise ValueError(f"unknown generator family {spec.family!r}")
-    for check, value in spec.expect:
-        if check == "gamma_le":
-            got = weak_closure_ordering(g).weak_closure
-        elif check == "c_le":
-            got = closure_number(g)
-        else:
-            raise ValueError(f"unknown expectation {check!r}")
-        if got > value:
-            raise ValueError(
-                f"built instance misses expectation {check} {value}: {got}")
-    return g

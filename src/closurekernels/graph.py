@@ -8,7 +8,7 @@ of vertices; the exact oracles stay exponential and are capped.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Graph:
@@ -91,10 +91,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return masks
-
-
-def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    return Graph(n, edges)
 
 
 def empty_graph(n: int) -> Graph:

@@ -2,10 +2,10 @@
 
 The reductions, in the order the kernel loop tries them:
 
-- a vertex whose posterior neighborhood (under a weak closure ordering)
-  contains a large plain matching is deletable;
 - an instance whose half-integral vertex cover LP optimum is huge is an
   outright Yes;
+- a vertex whose posterior neighborhood (under a weak closure ordering)
+  contains a large plain matching is deletable;
 - one of two false twins is deletable.
 
 The extraction step splits vertices by posterior-neighborhood size,
@@ -19,6 +19,7 @@ from .capvc import twin_classes
 from .closure import pq_split, weak_closure_ordering
 from .combinatorics import maximum_matching, vclp_half_integral
 from .graph import Graph, delete_vertices, induced_subgraph
+from .reduction import Decided, exhaust
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,6 @@ class ImInstance:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("budget must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ImDecided:
-    answer: bool
-    reason: str
 
 
 def posterior_matching_threshold(weak_closure: int, k: int) -> int:
@@ -79,12 +74,12 @@ def dense_posterior_rule(inst: ImInstance) -> tuple[ImInstance, dict | None]:
     return inst, None
 
 
-def lp_threshold_rule(inst: ImInstance) -> tuple[ImInstance | ImDecided, dict | None]:
+def lp_threshold_rule(inst: ImInstance) -> tuple[ImInstance | Decided, dict | None]:
     """Decide Yes when the vertex cover LP optimum is at least twice the
     double-shrunk budget bound."""
     g, k = inst.graph, inst.k
     if k == 0:
-        return ImDecided(True, "empty matching suffices"), {"rule": "lp-threshold", "decided": "yes"}
+        return Decided(True, "empty matching suffices"), {"rule": "lp-threshold", "decided": "yes"}
     wc = weak_closure_ordering(g).weak_closure
     sol = vclp_half_integral(g)
     doubled = sum(sol.value2)
@@ -95,7 +90,7 @@ def lp_threshold_rule(inst: ImInstance) -> tuple[ImInstance | ImDecided, dict | 
             "lp_doubled": doubled,
             "threshold": lp_yes_threshold(wc, k),
         }
-        return ImDecided(True, "cover LP optimum exceeds threshold"), entry
+        return Decided(True, "cover LP optimum exceeds threshold"), entry
     return inst, None
 
 
@@ -112,23 +107,17 @@ def im_twin_rule(inst: ImInstance) -> tuple[ImInstance, dict | None]:
     return inst, None
 
 
-def kernelize_im(inst: ImInstance) -> tuple[ImInstance | ImDecided, list[dict]]:
-    """All three rules to exhaustion, priority order: dense posterior
-    neighborhoods, the LP decision, twins."""
-    trace: list[dict] = []
-    while True:
-        out, entry = lp_threshold_rule(inst)
-        if entry is not None:
-            trace.append(entry)
-            return out, trace
-        inst, entry = dense_posterior_rule(inst)
-        if entry is not None:
-            trace.append(entry)
-            continue
-        inst, entry = im_twin_rule(inst)
-        if entry is None:
-            return inst, trace
-        trace.append(entry)
+def kernelize_im(inst: ImInstance) -> tuple[ImInstance | Decided, list[dict]]:
+    """All three rules to exhaustion, priority order: the LP decision, dense
+    posterior neighborhoods, twins."""
+    return exhaust(inst, (lp_threshold_rule, dense_posterior_rule, im_twin_rule))
+
+
+def decided_instance(decision: Decided) -> ImInstance:
+    """The canonical trivially-yes or trivially-no instance."""
+    if decision.answer:
+        return ImInstance(Graph(0), 0)
+    return ImInstance(Graph(1), 1)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ labels stay in range.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .capvc import CapVcInstance
 from .convc import AnnotatedConVcInstance, CocInstance, ConVcInstance
@@ -269,7 +269,3 @@ def from_problem(problem, kind: str | None = None) -> InstanceFile:
         return InstanceFile(kind or "graph", problem, 0)
     raise TypeError(f"cannot serialize {type(problem).__name__}")
 
-
-def relabel_dense(inst: InstanceFile) -> InstanceFile:
-    """Same instance with the identity label table."""
-    return replace(inst, labels=tuple(range(inst.graph.n)))

@@ -18,7 +18,6 @@ from .graph import (
     is_connected_set,
     is_independent_set,
     is_vertex_cover,
-    connected_components,
 )
 
 DEFAULT_VERTEX_CAP = 14

@@ -13,7 +13,6 @@ errors (bad arguments, broken invariants inside the suite itself).
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import subprocess
@@ -23,13 +22,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .capvc import CapVcInstance, kernelize_capvc, twin_crown_rule
+from .capvc import CapVcInstance, kernelize_capvc, size_bound_report, twin_crown_rule
 from .closure import (
     closure_number,
-    count_maximal_cliques,
     degeneracy,
     exhaustive_weak_closure,
-    neighborhood_class_bound,
     verify_closure_ordering,
     weak_closure_ordering,
 )
@@ -38,7 +35,7 @@ from .convc import (
     AnnotatedConVcInstance,
     CocInstance,
     ConVcInstance,
-    Decided,
+    annotated_bound_report,
     component_twin_rule,
     kernelize_coc,
     kernelize_convc,
@@ -46,18 +43,18 @@ from .convc import (
     simplicial_rule,
     small_component_rule,
     trivial_rules,
-    twin_classes,
+    twinset_bound_report,
     twinset_rule,
 )
 from .domset import (
-    DsDecided,
     DsInstance,
+    biclique_freeness_report,
     covers_clique_rule,
     dominated_clique_vertex_rule,
     dominated_independent_vertex_rule,
     isolated_rule,
     kernelize_ds_split,
-    split_partition,
+    split_bound_report,
     sunflower_rule,
 )
 from .generators import (
@@ -69,10 +66,8 @@ from .generators import (
     gen_random_split,
     gen_random_weakly_closed,
 )
-from .graph import (Graph, clique_number, complete_graph, contains_biclique,
-                    cycle_graph, delete_vertices, path_graph)
+from .graph import Graph, complete_graph, cycle_graph, delete_vertices, path_graph
 from .induced_matching import (
-    ImDecided,
     ImInstance,
     dense_posterior_rule,
     im_twin_rule,
@@ -90,6 +85,7 @@ from .oracles import (
     solve_is_exact,
 )
 from .ramsey import clique_or_independent_set, r_gamma_bound, validate_witness
+from .reduction import Decided
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,7 @@ def suite_parameter_engines(trials: int = 5000, seed: int = 0, max_n: int = 8) -
 
 
 def _final_answer(out, oracle) -> bool:
-    if isinstance(out, (Decided, ImDecided, DsDecided)):
+    if isinstance(out, Decided):
         return out.answer
     return oracle(out)
 
@@ -307,19 +303,13 @@ def _coc_oracle(inst: CocInstance) -> bool:
     return solve_coc_exact(inst.graph, inst.ell, inst.k, max_n=12, max_m=60).answer
 
 
-def _annotated_pipeline_case(name: str, sampler) -> RuleCase:
-    return RuleCase(name, sampler,
-                    step={"convc-isolated": trivial_rules,
-                          "convc-simplicial": simplicial_rule}[name],
-                    pipeline=kernelize_convc_annotated,
-                    oracle=_convc_oracle)
-
-
 RULE_CASES: tuple[RuleCase, ...] = (
     RuleCase("capvc-twin-crown", _sample_capvc, twin_crown_rule, kernelize_capvc, _capvc_oracle),
     RuleCase("convc-twinset", _sample_convc, twinset_rule, kernelize_convc, _convc_oracle),
-    _annotated_pipeline_case("convc-isolated", _sample_annotated),
-    _annotated_pipeline_case("convc-simplicial", _sample_annotated_connected),
+    RuleCase("convc-isolated", _sample_annotated, trivial_rules,
+             kernelize_convc_annotated, _convc_oracle),
+    RuleCase("convc-simplicial", _sample_annotated_connected, simplicial_rule,
+             kernelize_convc_annotated, _convc_oracle),
     RuleCase("im-dense-posterior", _sample_im, dense_posterior_rule, kernelize_im, _im_oracle),
     RuleCase("im-lp-threshold", _sample_im, lp_threshold_rule, kernelize_im, _im_oracle),
     RuleCase("im-twin", _sample_im, im_twin_rule, kernelize_im, _im_oracle),
@@ -468,6 +458,32 @@ def suite_composition_patterns() -> SuiteResult:
 # suite 5: kernel size bounds
 
 
+def _sized_capvc(rng: random.Random):
+    n = rng.randint(3, 9)
+    g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+    if g.m > 16:
+        return None
+    k = rng.randint(1, 3)
+    return CapVcInstance(g, tuple(rng.randint(0, 3) for _ in range(n)), k)
+
+
+def _sized_convc(rng: random.Random):
+    n = rng.randint(3, 10)
+    g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+    return ConVcInstance(g, rng.randint(1, 3))
+
+
+def _sized_ds(rng: random.Random):
+    return DsInstance(_random_split(rng, 10), rng.randint(1, 3))
+
+
+def _sized_annotated(rng: random.Random):
+    n = rng.randint(3, 10)
+    g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+    red = frozenset(rng.sample(range(n), rng.randint(0, 2)))
+    return AnnotatedConVcInstance(g, red, rng.randint(1, 3))
+
+
 def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
     """Explicit size bounds on reduced yes-instances, one family per kernel:
     capacitated and connected vertex cover against the neighborhood-class
@@ -475,95 +491,30 @@ def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
     annotated connected cover against the quadratic closure bound."""
     rec = _Recorder("kernel-size-bounds")
     rng = random.Random(f"verify:sizes:{seed}")
-
-    for _ in range(trials):
-        if rec.saturated:
-            break
-        n = rng.randint(3, 9)
-        g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
-        if g.m > 16:
-            continue
-        k = rng.randint(1, 3)
-        cap = tuple(rng.randint(0, 3) for _ in range(n))
-        reduced, _ = kernelize_capvc(CapVcInstance(g, cap, k))
-        if not solve_capvc_exact(reduced.graph, reduced.cap, reduced.k,
-                                 max_n=12, max_m=60).answer:
-            continue
-        wc = weak_closure_ordering(reduced.graph).weak_closure
-        mk = count_maximal_cliques(reduced.graph)
-        bound = reduced.k + neighborhood_class_bound(reduced.k, wc, reduced.k + 2,
-                                                     clique_count=mk)
-        if reduced.graph.n > bound:
-            rec.fail(f"capvc reduced size {reduced.graph.n} above bound {bound}",
-                     from_problem(reduced))
-        else:
-            rec.ok()
-
-    for _ in range(trials):
-        if rec.saturated:
-            break
-        n = rng.randint(3, 10)
-        g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
-        k = rng.randint(1, 3)
-        reduced, _ = kernelize_convc(ConVcInstance(g, k))
-        if not solve_convc_exact(reduced.graph, reduced.k, max_n=12, max_m=60).answer:
-            continue
-        wc = weak_closure_ordering(reduced.graph).weak_closure
-        mk = count_maximal_cliques(reduced.graph)
-        fixpoint_cap = max((len(c) for c in twin_classes(reduced.graph)), default=1)
-        bound = reduced.k + neighborhood_class_bound(reduced.k, wc, fixpoint_cap,
-                                                     clique_count=mk)
-        if reduced.graph.n > bound:
-            rec.fail(f"convc reduced size {reduced.graph.n} above bound {bound}",
-                     from_problem(reduced))
-        else:
-            rec.ok()
-
-    for _ in range(trials):
-        if rec.saturated:
-            break
-        g = _random_split(rng, 10)
-        k = rng.randint(1, 3)
-        out, _ = kernelize_ds_split(DsInstance(g, k))
-        if isinstance(out, DsDecided):
-            continue
-        if not solve_ds_exact(out.graph, out.k, max_n=12, max_m=60).answer:
-            continue
-        part = split_partition(out.graph)
-        wc = weak_closure_ordering(out.graph).weak_closure
-        isize, csize = len(part.independent), len(part.clique)
-        ibound = math.factorial(wc - 1) * (out.k + 2) ** (wc - 1)
-        problems = []
-        if not isize < ibound:
-            problems.append(f"independent side {isize} not below {ibound}")
-        if not csize <= wc * isize + 1:
-            problems.append(f"clique side {csize} above {wc * isize + 1}")
-        if problems:
-            rec.fail("ds-split: " + "; ".join(problems), from_problem(out))
-        else:
-            rec.ok()
-
-    for _ in range(trials):
-        if rec.saturated:
-            break
-        n = rng.randint(3, 10)
-        g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
-        red = frozenset(rng.sample(range(n), rng.randint(0, 2)))
-        k = rng.randint(1, 3)
-        out, _ = kernelize_convc_annotated(AnnotatedConVcInstance(g, red, k))
-        if isinstance(out, Decided):
-            continue
-        if not solve_convc_exact(out.graph, out.k, max_n=12, max_m=60,
-                                 required=out.red).answer:
-            continue
-        cl = closure_number(out.graph)
-        bound = out.k + cl * out.k * (out.k - 1) // 2
-        if not out.graph.n < bound:
-            rec.fail(f"annotated reduced size {out.graph.n} not below {bound}",
-                     from_problem(out))
-        else:
-            rec.ok()
-
+    # built per call, so functions rebound by a tracer are the ones called
+    families = (
+        ("capvc", _sized_capvc, kernelize_capvc, _capvc_oracle, size_bound_report),
+        ("convc", _sized_convc, kernelize_convc, _convc_oracle, twinset_bound_report),
+        ("ds-split", _sized_ds, kernelize_ds_split, _ds_oracle, split_bound_report),
+        ("annotated", _sized_annotated, kernelize_convc_annotated, _convc_oracle,
+         annotated_bound_report),
+    )
+    for label, sample, kernelize, oracle, bound_report in families:
+        for _ in range(trials):
+            if rec.saturated:
+                break
+            inst = sample(rng)
+            if inst is None:
+                continue
+            out, _ = kernelize(inst)
+            if isinstance(out, Decided) or not oracle(out):
+                continue
+            report = bound_report(out)
+            if report["verdict"] == "within":
+                rec.ok()
+            else:
+                rec.fail(f"{label} reduced instance exceeds its size bound: {report}",
+                         from_problem(out))
     return rec.result()
 
 
@@ -598,15 +549,11 @@ def suite_biclique_certificate(trials: int = 500, seed: int = 0, max_n: int = 18
                 edges.extend(combinations(range(base, base + s), 2))
                 base += s
             g = Graph(n, edges)
-        wc = weak_closure_ordering(g).weak_closure
-        omega = clique_number(g)
-        rho = wc + omega + 1
-        hit = contains_biclique(g, rho, rho)
-        if hit is not None:
-            rec.fail(f"found K_{{{rho},{rho}}} at {hit} despite weak closure {wc} "
-                     f"and clique number {omega}", from_problem(g, kind="graph"))
-        else:
+        report = biclique_freeness_report(g)
+        if report["consistent"]:
             rec.ok()
+        else:
+            rec.fail(f"biclique found: {report}", from_problem(g, kind="graph"))
     return rec.result()
 
 
@@ -717,6 +664,10 @@ def suite_vclp_exactness(trials: int = 300, seed: int = 0, max_n: int = 10) -> S
 # suite 9: determinism
 
 
+class _CommandFailed(Exception):
+    """A child `closurekernels` process exited with a nonzero code."""
+
+
 def _kernel_command_bytes(workdir: str, hashseed: str) -> tuple[bytes, bytes]:
     src = os.path.join(workdir, "in.ck")
     out = os.path.join(workdir, f"out-{hashseed}.ck")
@@ -727,7 +678,9 @@ def _kernel_command_bytes(workdir: str, hashseed: str) -> tuple[bytes, bytes]:
          "--out", out, "--trace", trace],
         capture_output=True, env=env)
     if proc.returncode != 0:
-        raise RuntimeError(f"kernel command failed: {proc.stderr.decode()}")
+        lines = proc.stderr.decode(errors="replace").strip().splitlines()
+        raise _CommandFailed(f"kernel command exited with code {proc.returncode}: "
+                             + (lines[-1] if lines else "no error output"))
     with open(out, "rb") as fh:
         reduced = fh.read()
     with open(trace, "rb") as fh:
@@ -769,8 +722,12 @@ def suite_determinism(seed: int = 0) -> SuiteResult:
     with tempfile.TemporaryDirectory() as workdir:
         with open(os.path.join(workdir, "in.ck"), "w") as fh:
             fh.write(text)
-        first = _kernel_command_bytes(workdir, "1")
-        second = _kernel_command_bytes(workdir, "2")
+        try:
+            first = _kernel_command_bytes(workdir, "1")
+            second = _kernel_command_bytes(workdir, "2")
+        except _CommandFailed as exc:
+            rec.fail(str(exc))
+            return rec.result()
     if first != second:
         rec.fail("kernel command output differs between runs")
     else:

@@ -264,6 +264,19 @@ class TestVerifyCommand:
         dumped = parse_instance(open(f"{dump}/stub-0.ck").read())
         assert dumped.graph.m == 1
 
+    def test_failed_kernel_child_is_a_suite_failure(self, capsys, tmp_path,
+                                                    monkeypatch):
+        def child_fails(argv, **kwargs):
+            err = b"Traceback (most recent call last):\nModuleNotFoundError: boom\n"
+            return subprocess.CompletedProcess(argv, 1, b"", err)
+
+        monkeypatch.setattr(verify_mod.subprocess, "run", child_fails)
+        code, out, err = run(capsys, "verify", "--suite", "determinism",
+                             "--dump-dir", str(tmp_path / "dumps"))
+        assert code == 1 and err == ""
+        assert "determinism: FAIL" in out
+        assert "kernel command exited with code 1: ModuleNotFoundError: boom" in out
+
 
 class TestGenerate:
     def test_every_family_parses(self, capsys):
@@ -406,8 +419,9 @@ class TestOutputFiles:
     def test_unwritable_witness_is_a_usage_error(self, capsys, tmp_path):
         src = write(tmp_path, "a.ck", C4_CONVC)
         witness = str(tmp_path / "no" / "w.txt")
-        code, _, err = run(capsys, "solve", "convc", src, "--witness", witness)
+        code, out, err = run(capsys, "solve", "convc", src, "--witness", witness)
         assert code == 2 and f"cannot write {witness}" in err
+        assert out == ""
 
     def test_unwritable_dump_dir_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setitem(verify_mod.SUITES, "stub", failing_suite)

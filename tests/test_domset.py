@@ -6,7 +6,6 @@ import pytest
 
 from closurekernels.closure import _suffix_closures, weak_closure_ordering
 from closurekernels.domset import (
-    DsDecided,
     DsInstance,
     SplitPartition,
     biclique_freeness_report,
@@ -34,6 +33,7 @@ from closurekernels.graph import (
     star_graph,
 )
 from closurekernels.oracles import solve_ds_exact
+from closurekernels.reduction import Decided
 
 
 def random_split_graph(rng, max_n=10):
@@ -167,7 +167,7 @@ def test_trimmed_neighborhoods_properties():
 def test_isolated_rule():
     g = Graph(4, [(0, 1)])
     out, entry = isolated_rule(DsInstance(g, 1))
-    assert isinstance(out, DsDecided) and out.answer is False
+    assert isinstance(out, Decided) and out.answer is False
     assert entry["isolated"] == [2, 3]
 
     out, entry = isolated_rule(DsInstance(g, 2))
@@ -323,7 +323,7 @@ def test_kernelize_complete_graph():
     assert out.graph.n == 0 and out.k == 0
 
     out, trace = kernelize_ds_split(DsInstance(complete_graph(5), 0))
-    assert isinstance(out, DsDecided) and out.answer is False
+    assert isinstance(out, Decided) and out.answer is False
 
 
 def test_kernelize_star_chain():
@@ -339,7 +339,7 @@ def test_kernelize_rejects_non_split():
 
 def test_kernelize_all_isolated_no():
     out, trace = kernelize_ds_split(DsInstance(Graph(4, []), 2))
-    assert isinstance(out, DsDecided) and out.answer is False
+    assert isinstance(out, Decided) and out.answer is False
     assert trace[0]["rule"] == "isolated"
 
 
@@ -389,7 +389,7 @@ def test_kernelize_oracle_equivalence():
         out, trace = kernelize_ds_split(DsInstance(g, k))
         fired += len(trace)
         before = solve_ds_exact(g, k, max_n=12, max_m=60).answer
-        if isinstance(out, DsDecided):
+        if isinstance(out, Decided):
             assert out.answer == before
         else:
             after = solve_ds_exact(out.graph, out.k, max_n=12, max_m=60).answer
@@ -404,7 +404,7 @@ def test_kernelize_fixpoint_bounds():
         g = random_split_graph(rng, max_n=10)
         k = rng.randint(0, 3)
         out, _ = kernelize_ds_split(DsInstance(g, k))
-        if isinstance(out, DsDecided):
+        if isinstance(out, Decided):
             continue
         part = split_partition(out.graph)
         wc = weak_closure_ordering(out.graph).weak_closure
@@ -419,7 +419,7 @@ def test_independent_neighborhoods_antichain_at_fixpoint():
     for _ in range(120):
         g = random_split_graph(rng, max_n=9)
         out, _ = kernelize_ds_split(DsInstance(g, rng.randint(0, 3)))
-        if isinstance(out, DsDecided):
+        if isinstance(out, Decided):
             continue
         part = split_partition(out.graph)
         for u in part.independent:

@@ -7,8 +7,6 @@ import pytest
 from closurekernels.closure import closure_number, weak_closure_ordering
 from closurekernels.domset import is_split
 from closurekernels.generators import (
-    GeneratorSpec,
-    build_instance,
     composition_layout,
     gen_capvc_lowerbound,
     gen_is_composition,
@@ -257,22 +255,3 @@ class TestRandomFamilies:
         assert closure_number(g) == 6
         assert weak_closure_ordering(g).weak_closure == 3
 
-    def test_build_instance_dispatch(self):
-        g = build_instance(GeneratorSpec("split", (("n", 8),), seed=4))
-        assert is_split(g)
-        g = build_instance(GeneratorSpec(
-            "weakly-closed", (("n", 8), ("target_gamma", 2)), seed=1,
-            expect=(("gamma_le", 2),)))
-        assert weak_closure_ordering(g).weak_closure <= 2
-        g = build_instance(GeneratorSpec("k-ab", (("a", 2), ("b", 5))))
-        assert g.n == 7
-
-    def test_build_instance_expectation_failure(self):
-        spec = GeneratorSpec("k-ab", (("a", 2), ("b", 5)),
-                             expect=(("gamma_le", 2),))
-        with pytest.raises(ValueError):
-            build_instance(spec)
-
-    def test_build_instance_unknown_family(self):
-        with pytest.raises(ValueError):
-            build_instance(GeneratorSpec("mystery", ()))

@@ -14,7 +14,6 @@ from closurekernels.graph import (
 )
 from closurekernels.induced_matching import (
     BipartiteSplit,
-    ImDecided,
     ImInstance,
     dense_posterior_rule,
     greedy_low_degree_matching,
@@ -26,6 +25,7 @@ from closurekernels.induced_matching import (
     posterior_size_split,
 )
 from closurekernels.oracles import is_induced_matching, solve_im_exact
+from closurekernels.reduction import Decided
 
 
 def random_graph(rng, n, p):
@@ -43,7 +43,7 @@ def test_threshold_arithmetic():
 
 def test_lp_rule_zero_budget_decides_yes():
     out, entry = lp_threshold_rule(ImInstance(path_graph(4), 0))
-    assert isinstance(out, ImDecided) and out.answer is True
+    assert isinstance(out, Decided) and out.answer is True
     assert entry["decided"] == "yes"
 
 
@@ -95,7 +95,7 @@ def test_kernel_clique_stops_at_four():
 
 def test_kernel_zero_budget():
     reduced, trace = kernelize_im(ImInstance(cycle_graph(6), 0))
-    assert isinstance(reduced, ImDecided) and reduced.answer is True
+    assert isinstance(reduced, Decided) and reduced.answer is True
 
 
 def test_kernel_preserves_oracle_answer():
@@ -108,7 +108,7 @@ def test_kernel_preserves_oracle_answer():
         k = rng.randint(0, 3)
         reduced, _ = kernelize_im(ImInstance(g, k))
         before = solve_im_exact(g, k).answer
-        if isinstance(reduced, ImDecided):
+        if isinstance(reduced, Decided):
             assert reduced.answer == before, (g.edges(), k)
         else:
             after = solve_im_exact(reduced.graph, reduced.k).answer
