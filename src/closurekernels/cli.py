@@ -56,13 +56,6 @@ from .oracles import (
     coc_components_ok,
     is_dominating_set,
     is_induced_matching,
-    solve_capvc_exact,
-    solve_coc_exact,
-    solve_convc_exact,
-    solve_ds_exact,
-    solve_im_exact,
-    solve_is_exact,
-    solve_multicolored_is_exact,
 )
 from .reduction import Decided
 from . import verify as verify_mod
@@ -296,28 +289,8 @@ def cmd_solve(args) -> int:
     problem_name = args.problem
     problem = _load_problem(args, _read_instance(args.path), problem_name)
     cap_n = args.oracle_cap
-    cap_m = cap_n * (cap_n - 1) // 2
     try:
-        if problem_name == "capvc":
-            res = solve_capvc_exact(problem.graph, problem.cap, problem.k,
-                                    max_n=cap_n, max_m=cap_m)
-        elif problem_name == "convc":
-            red = problem.red if isinstance(problem, AnnotatedConVcInstance) else frozenset()
-            res = solve_convc_exact(problem.graph, problem.k,
-                                    max_n=cap_n, max_m=cap_m, required=red)
-        elif problem_name == "coc":
-            res = solve_coc_exact(problem.graph, problem.ell, problem.k,
-                                  max_n=cap_n, max_m=cap_m)
-        elif problem_name == "im":
-            res = solve_im_exact(problem.graph, problem.k, max_n=cap_n, max_m=cap_m)
-        elif problem_name == "ds":
-            res = solve_ds_exact(problem.graph, problem.k, max_n=cap_n, max_m=cap_m)
-        else:
-            g, parts, k = problem
-            if len(parts) <= 1:
-                res = solve_is_exact(g, k, max_n=cap_n, max_m=cap_m)
-            else:
-                res = solve_multicolored_is_exact(g, parts, max_n=cap_n, max_m=cap_m)
+        res = verify_mod.solve_exact(problem, max_n=cap_n, max_m=cap_n * (cap_n - 1) // 2)
     except OracleCapExceeded as exc:
         raise UsageError(f"instance above the oracle size cap ({exc}); "
                          f"raise --oracle-cap to force the run") from exc
@@ -354,15 +327,16 @@ def cmd_verify(args) -> int:
             print(f"  {message}")
         if not result.passed:
             failed = True
+        if result.artifacts:
             try:
                 os.makedirs(args.dump_dir, exist_ok=True)
             except OSError as exc:
                 raise UsageError(f"cannot write {args.dump_dir}: {exc.strerror}") from exc
-            for artifact in result.artifacts:
-                path = os.path.join(args.dump_dir, f"{result.name}-{dumped}.ck")
-                _write_file(path, write_instance(artifact))
-                print(f"  counterexample written to {path}")
-                dumped += 1
+        for artifact in result.artifacts:
+            path = os.path.join(args.dump_dir, f"{result.name}-{dumped}.ck")
+            _write_file(path, write_instance(artifact))
+            print(f"  counterexample written to {path}")
+            dumped += 1
     return 1 if failed else 0
 
 
@@ -409,8 +383,6 @@ def cmd_generate(args) -> int:
             raise UsageError("--kind only applies to plain graph families")
         if args.kind == "coc":
             out = InstanceFile(kind="coc", graph=out.graph, k=args.k, ell=args.ell or 2)
-        elif args.kind in ("capvc",):
-            raise UsageError("cannot wrap a plain graph as capvc; use capvc-hard")
         else:
             out = InstanceFile(kind=args.kind, graph=out.graph, k=args.k)
     _emit(write_instance(out), args.out)

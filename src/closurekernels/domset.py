@@ -1,17 +1,22 @@
 """Dominating set on split graphs: structured orderings and three
 reductions, plus the biclique-freeness check used for the bipartite route.
 
-The split kernel works against a fixed clique/independent bipartition:
+The split kernel works against the degree-sequence clique/independent
+bipartition, recomputed every round:
 
-- an independent vertex adjacent to the whole clique is deletable;
 - a clique vertex whose closed neighborhood is contained in another's is
   deletable;
+- an independent vertex whose neighborhood contains another independent
+  vertex's is deletable;
 - among independent vertices, trimmed neighborhoods (drop the longest
   all-adjacent clique prefix along a clique-first ordering) have size
   below the weak closure, so a large sunflower among them marks one
   vertex as deletable.
 
 Isolated vertices are self-dominating and get charged to the budget first.
+Deleting an independent vertex adjacent to the whole clique side
+(`covers_clique_rule`) cannot fire under this partition, whose clique side
+is a maximum clique, so the kernel does not try it.
 """
 from __future__ import annotations
 
@@ -151,24 +156,6 @@ def trimmed_neighborhoods(g: Graph, part: SplitPartition,
     return out
 
 
-def check_partition(g: Graph, part: SplitPartition) -> None:
-    """Raise unless `part` is a valid clique/independent bipartition of g."""
-    cs, ins = set(part.clique), set(part.independent)
-    if cs & ins or (cs | ins) != set(g.vertices()):
-        raise ValueError("partition must cover the vertex set exactly once")
-    if not is_clique(g, cs):
-        raise ValueError("clique side is not a clique")
-    if not is_independent_set(g, ins):
-        raise ValueError("independent side is not independent")
-
-
-def _resolve_partition(g: Graph, part: SplitPartition | None) -> SplitPartition:
-    if part is not None:
-        check_partition(g, part)
-        return part
-    return split_partition(g)
-
-
 def isolated_rule(inst: DsInstance) -> tuple[DsInstance | Decided, dict | None]:
     """Isolated vertices must dominate themselves: charge each to the
     budget, or decide No when they outnumber it."""
@@ -184,16 +171,17 @@ def isolated_rule(inst: DsInstance) -> tuple[DsInstance | Decided, dict | None]:
     return DsInstance(new_graph, inst.k - len(iso)), entry
 
 
-def covers_clique_rule(inst: DsInstance,
-                       part: SplitPartition | None = None) -> tuple[DsInstance, dict | None]:
+def covers_clique_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
     """Delete every independent vertex adjacent to the entire clique side.
 
-    Under the default degree-sequence partition the clique side is a maximum
-    clique, so this can never fire; it matters for caller-supplied partitions
-    whose clique side is not maximal.
+    The degree-sequence partition's clique side is a maximum clique, so no
+    independent vertex sees all of it and this never fires; the kernel does
+    not try it. It stays because the traced benchmark (perfbench/tracing.py)
+    wraps it by name, and rule-safety still checks it; deleting it waits on
+    a change to that benchmark.
     """
     g = inst.graph
-    part = _resolve_partition(g, part)
+    part = split_partition(g)
     cfull = frozenset(part.clique)
     gone = [u for u in part.independent if g.adj(u) == cfull]
     if not gone:
@@ -202,12 +190,11 @@ def covers_clique_rule(inst: DsInstance,
     return DsInstance(new_graph, inst.k), {"rule": "covers-clique", "removed": gone}
 
 
-def dominated_clique_vertex_rule(inst: DsInstance,
-                                 part: SplitPartition | None = None) -> tuple[DsInstance, dict | None]:
+def dominated_clique_vertex_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
     """Delete the first clique vertex whose closed neighborhood is contained
     in another clique vertex's closed neighborhood (ties keep the smaller id)."""
     g = inst.graph
-    part = _resolve_partition(g, part)
+    part = split_partition(g)
     for v in part.clique:
         nv = g.closed_adj(v)
         for u in part.clique:
@@ -221,8 +208,7 @@ def dominated_clique_vertex_rule(inst: DsInstance,
     return inst, None
 
 
-def dominated_independent_vertex_rule(inst: DsInstance,
-                                      part: SplitPartition | None = None) -> tuple[DsInstance, dict | None]:
+def dominated_independent_vertex_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
     """Delete the first independent vertex whose open neighborhood contains
     another independent vertex's open neighborhood (ties keep the smaller id).
 
@@ -237,7 +223,7 @@ def dominated_independent_vertex_rule(inst: DsInstance,
     independent-side size bound.
     """
     g = inst.graph
-    part = _resolve_partition(g, part)
+    part = split_partition(g)
     if any(g.degree(v) == 0 for v in g.vertices()):
         raise ValueError("remove isolated vertices first")
     for v in part.independent:
@@ -254,17 +240,13 @@ def dominated_independent_vertex_rule(inst: DsInstance,
     return inst, None
 
 
-def sunflower_rule(inst: DsInstance,
-                   part: SplitPartition | None = None) -> tuple[DsInstance, dict | None]:
+def sunflower_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
     """Find k+2 independent vertices whose trimmed neighborhoods form a
     sunflower; delete the one with the longest trimmed prefix (ties to the
     largest id).
-
-    Requires no independent vertex adjacent to the whole clique side, so
-    exhaust covers_clique_rule first when supplying a partition by hand.
     """
     g, k = inst.graph, inst.k
-    part = _resolve_partition(g, part)
+    part = split_partition(g)
     ivs = sorted(part.independent)
     if len(ivs) < k + 2:
         return inst, None
@@ -288,11 +270,11 @@ def sunflower_rule(inst: DsInstance,
 
 
 def kernelize_ds_split(inst: DsInstance) -> tuple[DsInstance | Decided, list[dict]]:
-    """The isolated-vertex charge and all four reductions to exhaustion,
+    """The isolated-vertex charge and the three reductions to exhaustion,
     cheapest checks first. The partition and ordering are recomputed from
-    scratch every round."""
-    _resolve_partition(inst.graph, None)
-    return exhaust(inst, (isolated_rule, covers_clique_rule, dominated_clique_vertex_rule,
+    scratch every round. Raises ValueError for non-split graphs."""
+    split_partition(inst.graph)
+    return exhaust(inst, (isolated_rule, dominated_clique_vertex_rule,
                           dominated_independent_vertex_rule, sunflower_rule))
 
 

@@ -76,6 +76,7 @@ from .induced_matching import (
 )
 from .instance_io import InstanceFile, from_problem, write_instance
 from .oracles import (
+    OracleResult,
     solve_capvc_exact,
     solve_coc_exact,
     solve_convc_exact,
@@ -83,6 +84,7 @@ from .oracles import (
     solve_exact_set_cover,
     solve_im_exact,
     solve_is_exact,
+    solve_multicolored_is_exact,
 )
 from .ramsey import clique_or_independent_set, r_gamma_bound, validate_witness
 from .reduction import Decided
@@ -137,6 +139,32 @@ class _Recorder:
                            tuple(self.failures), tuple(self.artifacts))
 
 
+def solve_exact(problem, max_n: int, max_m: int) -> OracleResult:
+    """The one oracle dispatch: the brute-force answer for a typed instance.
+    `is` comes as `to_problem`'s (graph, parts, k); several parts ask for one
+    vertex per part. Oracles are looked up at call time, so wrappers rebound
+    over them (perfbench/tracing.py) see the calls."""
+    if isinstance(problem, tuple):
+        g, parts, k = problem
+        if len(parts) <= 1:
+            return solve_is_exact(g, k, max_n=max_n, max_m=max_m)
+        return solve_multicolored_is_exact(g, parts, max_n=max_n, max_m=max_m)
+    g, k = problem.graph, problem.k
+    if isinstance(problem, CapVcInstance):
+        return solve_capvc_exact(g, problem.cap, k, max_n=max_n, max_m=max_m)
+    if isinstance(problem, ConVcInstance):
+        return solve_convc_exact(g, k, max_n=max_n, max_m=max_m)
+    if isinstance(problem, AnnotatedConVcInstance):
+        return solve_convc_exact(g, k, max_n=max_n, max_m=max_m, required=problem.red)
+    if isinstance(problem, CocInstance):
+        return solve_coc_exact(g, problem.ell, k, max_n=max_n, max_m=max_m)
+    if isinstance(problem, ImInstance):
+        return solve_im_exact(g, k, max_n=max_n, max_m=max_m)
+    if isinstance(problem, DsInstance):
+        return solve_ds_exact(g, k, max_n=max_n, max_m=max_m)
+    raise TypeError(f"no oracle for {type(problem).__name__}")
+
+
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
@@ -166,7 +194,7 @@ def _random_split(rng: random.Random, max_n: int) -> Graph:
 # suite 1: parameter engines
 
 
-def suite_parameter_engines(trials: int = 5000, seed: int = 0, max_n: int = 8) -> SuiteResult:
+def suite_parameter_engines(trials: int = 5000, seed: int = 0) -> SuiteResult:
     """Greedy weak closure against the subset-DP optimum, the closure and
     degeneracy dominations, and the prefix/suffix intersection invariant of
     the emitted ordering on every nonadjacent pair."""
@@ -176,7 +204,7 @@ def suite_parameter_engines(trials: int = 5000, seed: int = 0, max_n: int = 8) -
     for _ in range(trials):
         if rec.saturated:
             break
-        n = rng.randint(0, max_n)
+        n = rng.randint(0, 8)
         g = _random_graph(rng, n, rng.choice(densities))
         ordering = weak_closure_ordering(g)
         wc = ordering.weak_closure
@@ -213,10 +241,11 @@ def suite_parameter_engines(trials: int = 5000, seed: int = 0, max_n: int = 8) -
 # suite 2: rule safety
 
 
-def _final_answer(out, oracle) -> bool:
-    if isinstance(out, Decided):
-        return out.answer
-    return oracle(out)
+def _answer(inst) -> bool:
+    """A decision's answer, else the oracle's under the 12/60 size caps."""
+    if isinstance(inst, Decided):
+        return inst.answer
+    return solve_exact(inst, max_n=12, max_m=60).answer
 
 
 @dataclass(frozen=True)
@@ -225,7 +254,6 @@ class RuleCase:
     sample: Callable[[random.Random], object]
     step: Callable[[object], tuple]
     pipeline: Callable[[object], tuple]
-    oracle: Callable[[object], bool]
 
 
 def _sample_capvc(rng: random.Random):
@@ -282,46 +310,23 @@ def _sample_coc(rng: random.Random):
     return CocInstance(g, rng.randint(1, 2), rng.randint(0, 4))
 
 
-def _capvc_oracle(inst: CapVcInstance) -> bool:
-    return solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=12, max_m=60).answer
-
-
-def _convc_oracle(inst) -> bool:
-    red = inst.red if isinstance(inst, AnnotatedConVcInstance) else frozenset()
-    return solve_convc_exact(inst.graph, inst.k, max_n=12, max_m=60, required=red).answer
-
-
-def _im_oracle(inst: ImInstance) -> bool:
-    return solve_im_exact(inst.graph, inst.k, max_n=12, max_m=60).answer
-
-
-def _ds_oracle(inst: DsInstance) -> bool:
-    return solve_ds_exact(inst.graph, inst.k, max_n=12, max_m=60).answer
-
-
-def _coc_oracle(inst: CocInstance) -> bool:
-    return solve_coc_exact(inst.graph, inst.ell, inst.k, max_n=12, max_m=60).answer
-
-
 RULE_CASES: tuple[RuleCase, ...] = (
-    RuleCase("capvc-twin-crown", _sample_capvc, twin_crown_rule, kernelize_capvc, _capvc_oracle),
-    RuleCase("convc-twinset", _sample_convc, twinset_rule, kernelize_convc, _convc_oracle),
-    RuleCase("convc-isolated", _sample_annotated, trivial_rules,
-             kernelize_convc_annotated, _convc_oracle),
+    RuleCase("capvc-twin-crown", _sample_capvc, twin_crown_rule, kernelize_capvc),
+    RuleCase("convc-twinset", _sample_convc, twinset_rule, kernelize_convc),
+    RuleCase("convc-isolated", _sample_annotated, trivial_rules, kernelize_convc_annotated),
     RuleCase("convc-simplicial", _sample_annotated_connected, simplicial_rule,
-             kernelize_convc_annotated, _convc_oracle),
-    RuleCase("im-dense-posterior", _sample_im, dense_posterior_rule, kernelize_im, _im_oracle),
-    RuleCase("im-lp-threshold", _sample_im, lp_threshold_rule, kernelize_im, _im_oracle),
-    RuleCase("im-twin", _sample_im, im_twin_rule, kernelize_im, _im_oracle),
-    RuleCase("ds-isolated", _sample_ds, isolated_rule, kernelize_ds_split, _ds_oracle),
-    RuleCase("ds-covers-clique", _sample_ds, covers_clique_rule, kernelize_ds_split, _ds_oracle),
-    RuleCase("ds-dominated-clique", _sample_ds, dominated_clique_vertex_rule,
-             kernelize_ds_split, _ds_oracle),
+             kernelize_convc_annotated),
+    RuleCase("im-dense-posterior", _sample_im, dense_posterior_rule, kernelize_im),
+    RuleCase("im-lp-threshold", _sample_im, lp_threshold_rule, kernelize_im),
+    RuleCase("im-twin", _sample_im, im_twin_rule, kernelize_im),
+    RuleCase("ds-isolated", _sample_ds, isolated_rule, kernelize_ds_split),
+    RuleCase("ds-covers-clique", _sample_ds, covers_clique_rule, kernelize_ds_split),
+    RuleCase("ds-dominated-clique", _sample_ds, dominated_clique_vertex_rule, kernelize_ds_split),
     RuleCase("ds-dominated-independent", _sample_ds_no_isolated,
-             dominated_independent_vertex_rule, kernelize_ds_split, _ds_oracle),
-    RuleCase("ds-sunflower", _sample_ds, sunflower_rule, kernelize_ds_split, _ds_oracle),
-    RuleCase("coc-small-component", _sample_coc, small_component_rule, kernelize_coc, _coc_oracle),
-    RuleCase("coc-component-twin", _sample_coc, component_twin_rule, kernelize_coc, _coc_oracle),
+             dominated_independent_vertex_rule, kernelize_ds_split),
+    RuleCase("ds-sunflower", _sample_ds, sunflower_rule, kernelize_ds_split),
+    RuleCase("coc-small-component", _sample_coc, small_component_rule, kernelize_coc),
+    RuleCase("coc-component-twin", _sample_coc, component_twin_rule, kernelize_coc),
 )
 
 
@@ -345,11 +350,11 @@ def suite_rule_safety(trials_per_rule: int = 1000, seed: int = 0,
             if rec.saturated:
                 break
             inst = case.sample(rng)
-            before = case.oracle(inst)
+            before = _answer(inst)
             stepped, entry = step(inst)
-            after_step = _final_answer(stepped, case.oracle)
+            after_step = _answer(stepped)
             reduced, _trace = case.pipeline(inst)
-            after_pipeline = _final_answer(reduced, case.oracle)
+            after_pipeline = _answer(reduced)
             if before != after_step:
                 rec.fail(f"{case.name}: single step flipped the answer "
                          f"({before} -> {after_step}, entry {entry})",
@@ -493,13 +498,12 @@ def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
     rng = random.Random(f"verify:sizes:{seed}")
     # built per call, so functions rebound by a tracer are the ones called
     families = (
-        ("capvc", _sized_capvc, kernelize_capvc, _capvc_oracle, size_bound_report),
-        ("convc", _sized_convc, kernelize_convc, _convc_oracle, twinset_bound_report),
-        ("ds-split", _sized_ds, kernelize_ds_split, _ds_oracle, split_bound_report),
-        ("annotated", _sized_annotated, kernelize_convc_annotated, _convc_oracle,
-         annotated_bound_report),
+        ("capvc", _sized_capvc, kernelize_capvc, size_bound_report),
+        ("convc", _sized_convc, kernelize_convc, twinset_bound_report),
+        ("ds-split", _sized_ds, kernelize_ds_split, split_bound_report),
+        ("annotated", _sized_annotated, kernelize_convc_annotated, annotated_bound_report),
     )
-    for label, sample, kernelize, oracle, bound_report in families:
+    for label, sample, kernelize, bound_report in families:
         for _ in range(trials):
             if rec.saturated:
                 break
@@ -507,7 +511,7 @@ def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
             if inst is None:
                 continue
             out, _ = kernelize(inst)
-            if isinstance(out, Decided) or not oracle(out):
+            if isinstance(out, Decided) or not _answer(out):
                 continue
             report = bound_report(out)
             if report["verdict"] == "within":
@@ -522,7 +526,7 @@ def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
 # suite 6: biclique-freeness certificate
 
 
-def suite_biclique_certificate(trials: int = 500, seed: int = 0, max_n: int = 18) -> SuiteResult:
+def suite_biclique_certificate(trials: int = 500, seed: int = 0) -> SuiteResult:
     """No graph contains a complete bipartite subgraph with both sides of
     size weak closure + clique number + 1."""
     rec = _Recorder("biclique-certificate")
@@ -530,7 +534,7 @@ def suite_biclique_certificate(trials: int = 500, seed: int = 0, max_n: int = 18
     for t in range(trials):
         if rec.saturated:
             break
-        n = rng.randint(2, max_n)
+        n = rng.randint(2, 18)
         style = t % 3
         if style == 0:
             g = gen_random_bipartite(n, rng.randrange(2 ** 30))
@@ -561,14 +565,13 @@ def suite_biclique_certificate(trials: int = 500, seed: int = 0, max_n: int = 18
 # suite 7: ramsey guarantee
 
 
-def suite_ramsey_guarantee(seed: int = 0, max_n: int = 20,
-                           samples_per_size: int = 3) -> SuiteResult:
+def suite_ramsey_guarantee(seed: int = 0, samples_per_size: int = 3) -> SuiteResult:
     """Above the guarantee threshold a witness must come back and validate."""
     rec = _Recorder("ramsey-guarantee")
     rng = random.Random(f"verify:ramsey:{seed}")
     graphs: list[Graph] = []
     for target in (1, 2):
-        for n in range(1, max_n + 1):
+        for n in range(1, 21):
             for _ in range(samples_per_size):
                 try:
                     g = gen_random_weakly_closed(n, target, rng.randrange(2 ** 30))
@@ -630,7 +633,7 @@ def _brute_vclp_total2(g: Graph) -> int:
     return best
 
 
-def suite_vclp_exactness(trials: int = 300, seed: int = 0, max_n: int = 10) -> SuiteResult:
+def suite_vclp_exactness(trials: int = 300, seed: int = 0) -> SuiteResult:
     """Combinatorial LP solver against exhaustive half-integral search."""
     rec = _Recorder("vclp-exactness")
     rng = random.Random(f"verify:vclp:{seed}")
@@ -638,7 +641,7 @@ def suite_vclp_exactness(trials: int = 300, seed: int = 0, max_n: int = 10) -> S
              complete_graph(4), gen_k_ab(3, 3), gen_k_ab(2, 5), path_graph(10)]
     pool: list[Graph] = list(fixed)
     for _ in range(trials):
-        n = rng.randint(0, max_n)
+        n = rng.randint(0, 10)
         pool.append(_random_graph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8))))
     for g in pool:
         if rec.saturated:

@@ -6,10 +6,11 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/make_corpus.py
 
 Each case gets a directory under tests/golden/cases/ holding `in.ck`, the
-expected `stdout`, and `out.ck` / `trace.json` when the case writes them.
-`cases.json` lists every case's argument vector, with IN, OUT and TRACE
-standing for the three paths. tests/test_golden.py reruns every case and
-compares bytes, so regenerate only when an output change is intended.
+expected `stdout`, and `out.ck` / `trace.json` / `witness.txt` when the case
+writes them. `cases.json` lists every case's argument vector, with IN, OUT,
+TRACE and WITNESS standing for the four paths. tests/test_golden.py reruns
+every case and compares bytes, so regenerate only when an output change is
+intended.
 """
 from __future__ import annotations
 
@@ -30,8 +31,9 @@ CASES_DIR = os.path.join(HERE, "cases")
 
 
 def instance(kind: str, n: int, edges, k: int = 0, ell: int | None = None,
-             cap=None, red=(), labels=None) -> str:
-    """Instance file text; `labels` renames the dense ids 0..n-1."""
+             cap=None, red=(), parts=None, labels=None) -> str:
+    """Instance file text; `labels` renames the dense ids 0..n-1 and
+    `parts` gives each vertex's part index."""
     lab = labels or list(range(n))
     edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
     head = f"p {kind} {n} {len(edges)} {k}" + (f" {ell}" if ell is not None else "")
@@ -39,6 +41,8 @@ def instance(kind: str, n: int, edges, k: int = 0, ell: int | None = None,
     if cap is not None:
         lines += [f"cap {lab[v]} {c}" for v, c in enumerate(cap)]
     lines += [f"red {lab[v]}" for v in red]
+    if parts is not None:
+        lines += [f"part {lab[v]} {i}" for v, i in enumerate(parts)]
     lines += [f"e {lab[u]} {lab[v]}" for u, v in edges]
     return "\n".join(lines) + "\n"
 
@@ -98,6 +102,7 @@ def generated(*argv: str) -> str:
 
 
 KERNEL = ("--out", "OUT", "--trace", "TRACE")
+WITNESS = ("--witness", "WITNESS")
 
 
 def cases() -> list[tuple[str, str, list[str]]]:
@@ -211,6 +216,32 @@ def cases() -> list[tuple[str, str, list[str]]]:
         ("params-split", instance("ds", *ds[174], k=1), ["params", "IN"]),
         ("params-capped", generated("capvc-hard", "--k", "2", "--seed", "1"),
          ["params", "IN", "--oracle-cap", "10"]),
+        # solve: one oracle per kind, witnesses re-checked and written
+        ("solve-capvc", instance("capvc", 8, k_ab(2, 6), k=3, cap=[6, 5, 1, 1, 1, 1, 1, 1]),
+         ["solve", "capvc", "IN", *WITNESS]),
+        ("solve-capvc-hard", generated("capvc-hard", "--k", "1", "--seed", "2"),
+         ["solve", "capvc", "IN", *WITNESS]),
+        ("solve-convc", instance("convc", 12, gnp(12, 0.2, 3, connected=True), k=8),
+         ["solve", "convc", "IN", *WITNESS]),
+        ("solve-convc-red", instance("convc", 6, path(6), k=6, red=[0, 5]),
+         ["solve", "convc", "IN", *WITNESS]),
+        ("solve-coc", instance("coc", n_hub, hub, k=1, ell=2,
+                               labels=[3 * v + 1 for v in range(n_hub)]),
+         ["solve", "coc", "IN", *WITNESS]),
+        ("solve-im", instance("im", 10, gnp(10, 0.3, 8), k=2),
+         ["solve", "im", "IN", *WITNESS]),
+        ("solve-ds", instance("ds", *ds[174], k=3),
+         ["solve", "ds", "IN", *WITNESS]),
+        ("solve-is", instance("is", 9, gnp(9, 0.35, 9), k=3),
+         ["solve", "is", "IN", *WITNESS]),
+        ("solve-is-multicolored",
+         instance("is", 6, [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5)],
+                  k=3, parts=[0, 0, 1, 1, 2, 2]),
+         ["solve", "is", "IN", *WITNESS]),
+        ("solve-no", instance("convc", 9, path(9), k=2),
+         ["solve", "convc", "IN"]),
+        ("solve-k-override", instance("ds", *ds[31], k=0),
+         ["solve", "ds", "IN", "--k", "2", *WITNESS]),
     ]
     return out
 
@@ -219,14 +250,16 @@ def run_case(case_dir: str, argv: list[str], workdir: str) -> dict[str, bytes]:
     """Run one case; returns the produced bytes keyed by expected file name."""
     paths = {"IN": os.path.join(case_dir, "in.ck"),
              "OUT": os.path.join(workdir, "out.ck"),
-             "TRACE": os.path.join(workdir, "trace.json")}
+             "TRACE": os.path.join(workdir, "trace.json"),
+             "WITNESS": os.path.join(workdir, "witness.txt")}
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main([paths.get(a, a) for a in argv])
     if code != 0:
         raise RuntimeError(f"{case_dir}: exit code {code}")
     got = {"stdout": stdout.getvalue().encode("utf-8")}
-    for key, name in (("OUT", "out.ck"), ("TRACE", "trace.json")):
+    for key, name in (("OUT", "out.ck"), ("TRACE", "trace.json"),
+                      ("WITNESS", "witness.txt")):
         if key in argv:
             with open(paths[key], "rb") as fh:
                 got[name] = fh.read()

@@ -276,6 +276,7 @@ class TestVerifyCommand:
         assert code == 1 and err == ""
         assert "determinism: FAIL" in out
         assert "kernel command exited with code 1: ModuleNotFoundError: boom" in out
+        assert not (tmp_path / "dumps").exists()
 
 
 class TestGenerate:

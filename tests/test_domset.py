@@ -9,7 +9,6 @@ from closurekernels.domset import (
     DsInstance,
     SplitPartition,
     biclique_freeness_report,
-    check_partition,
     covers_clique_rule,
     dominated_clique_vertex_rule,
     dominated_independent_vertex_rule,
@@ -91,18 +90,6 @@ def test_split_partition_clique_side_is_maximum():
         assert len(part.clique) == clique_number(g)
 
 
-def test_check_partition_rejects_bad_input():
-    g = path_graph(4)
-    with pytest.raises(ValueError):
-        check_partition(g, SplitPartition((1, 2), (0,)))
-    with pytest.raises(ValueError):
-        check_partition(g, SplitPartition((1, 2), (0, 1, 3)))
-    with pytest.raises(ValueError):
-        check_partition(g, SplitPartition((0, 1, 2), (3,)))
-    with pytest.raises(ValueError):
-        check_partition(g, SplitPartition((1,), (0, 2, 3)))
-
-
 def test_good_ordering_certifies_and_orders_clique_first():
     rng = random.Random(109)
     for _ in range(150):
@@ -179,12 +166,6 @@ def test_isolated_rule():
 
 
 def test_covers_clique_fires_only_with_nonmaximal_clique_side():
-    g = complete_graph(4)
-    part = SplitPartition((0, 1, 2), (3,))
-    out, entry = covers_clique_rule(DsInstance(g, 1), part)
-    assert entry == {"rule": "covers-clique", "removed": [3]}
-    assert out.graph.n == 3 and out.k == 1
-
     rng = random.Random(127)
     for _ in range(150):
         g = random_split_graph(rng)
