@@ -7,13 +7,22 @@ a validated witness), verify (randomized cross-checking suites), generate
 
 Exit codes are a stable contract: 0 success or decided, 1 verification suite
 failure, 2 usage error (kind mismatches, oracle cap overruns, unwritable
-output paths), 3 instance parse error. Output files are overwritten in place,
-following symlinks.
+output paths), 3 instance parse error, 4 internal error (an exception no other
+code covers, such as a witness that fails its re-check; reported as one
+stderr line `internal error: <Type>: <message>`). Output files are
+overwritten in place, following symlinks. Witness lines name the input file's
+vertex labels.
+
+params and kernel load only the kernel modules: `verify`, `oracles` and
+`generators` (and through them `ramsey` and `subprocess`) are registered
+lazily and run their code on first attribute access, in solve, verify and
+generate.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import random
@@ -27,14 +36,6 @@ from .capvc import CapVcInstance
 from .closure import closure_number, degeneracy, weak_closure_ordering
 from .convc import AnnotatedConVcInstance, CocInstance, attach_leaves
 from .domset import is_split
-from .generators import (
-    gen_capvc_lowerbound,
-    gen_is_composition,
-    gen_k_ab,
-    gen_random_bipartite,
-    gen_random_split,
-    gen_random_weakly_closed,
-)
 from .graph import (
     Graph,
     clique_number,
@@ -50,15 +51,31 @@ from .instance_io import (
     to_problem,
     write_instance,
 )
-from .oracles import (
-    OracleCapExceeded,
-    capvc_assignment_feasible,
-    coc_components_ok,
-    is_dominating_set,
-    is_induced_matching,
-)
 from .reduction import Decided
-from . import verify as verify_mod
+
+
+def _lazy(name: str):
+    """The package's submodule `name`, whose code runs on first attribute
+    access (the LazyLoader recipe). A module already imported is returned
+    as it is."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        # what an eager import does, so `import closurekernels.verify`
+        # after this one yields a usable `closurekernels.verify`
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Never do `from .oracles import X` here: it loads the module at once.
+generators = _lazy("generators")
+oracles = _lazy("oracles")
+verify_mod = _lazy("verify")
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -247,17 +264,18 @@ def cmd_kernel(args) -> int:
 # solve
 
 
-def _validated_witness(problem_name: str, problem, witness) -> list[str]:
+def _validated_witness(problem_name: str, problem, witness, labels) -> list[str]:
     """Re-check the oracle's witness with independent predicates.
 
-    Returns the witness file lines. Raises RuntimeError when validation
-    fails, which would mean an oracle bug rather than bad input.
+    Returns the witness file lines, naming vertices by their input labels.
+    Raises RuntimeError when validation fails, which would mean an oracle bug
+    rather than bad input.
     """
     if problem_name == "im":
         edges = sorted(witness)
-        if not is_induced_matching(problem.graph, edges) or len(edges) < problem.k:
+        if not oracles.is_induced_matching(problem.graph, edges) or len(edges) < problem.k:
             raise RuntimeError("witness failed validation")
-        return [f"e {u} {v}" for u, v in edges]
+        return [f"e {labels[u]} {labels[v]}" for u, v in edges]
     if problem_name == "is" and isinstance(problem, tuple):
         g, parts, k = problem
         chosen = sorted(witness)
@@ -265,33 +283,34 @@ def _validated_witness(problem_name: str, problem, witness) -> list[str]:
         enough = len(chosen) == len(parts) if colored else len(chosen) >= k
         if not (is_independent_set(g, chosen) and enough):
             raise RuntimeError("witness failed validation")
-        return [f"v {v}" for v in chosen]
+        return [f"v {labels[v]}" for v in chosen]
     g = problem.graph
     chosen = sorted(witness)
     ok = {
-        "capvc": lambda: capvc_assignment_feasible(g, frozenset(chosen), problem.cap)
+        "capvc": lambda: oracles.capvc_assignment_feasible(g, frozenset(chosen), problem.cap)
         and len(chosen) <= problem.k,
         "convc": lambda: is_vertex_cover(g, chosen) and is_connected_set(g, chosen)
         and len(chosen) <= problem.k
         and (not isinstance(problem, AnnotatedConVcInstance)
              or problem.red <= set(chosen)),
         "coc": lambda: is_connected_set(g, frozenset(chosen))
-        and coc_components_ok(g, frozenset(chosen), problem.ell)
+        and oracles.coc_components_ok(g, frozenset(chosen), problem.ell)
         and len(chosen) <= problem.k,
-        "ds": lambda: is_dominating_set(g, chosen) and len(chosen) <= problem.k,
+        "ds": lambda: oracles.is_dominating_set(g, chosen) and len(chosen) <= problem.k,
     }[problem_name]
     if not ok():
         raise RuntimeError("witness failed validation")
-    return [f"v {v}" for v in chosen]
+    return [f"v {labels[v]}" for v in chosen]
 
 
 def cmd_solve(args) -> int:
     problem_name = args.problem
-    problem = _load_problem(args, _read_instance(args.path), problem_name)
+    inst = _read_instance(args.path)
+    problem = _load_problem(args, inst, problem_name)
     cap_n = args.oracle_cap
     try:
         res = verify_mod.solve_exact(problem, max_n=cap_n, max_m=cap_n * (cap_n - 1) // 2)
-    except OracleCapExceeded as exc:
+    except oracles.OracleCapExceeded as exc:
         raise UsageError(f"instance above the oracle size cap ({exc}); "
                          f"raise --oracle-cap to force the run") from exc
 
@@ -299,7 +318,7 @@ def cmd_solve(args) -> int:
     # write leaves stdout empty
     lines = None
     if res.answer and res.witness is not None:
-        lines = _validated_witness(problem_name, problem, res.witness)
+        lines = _validated_witness(problem_name, problem, res.witness, inst.labels)
         if args.witness is not None:
             _write_file(args.witness, "c validated witness\n" + "\n".join(lines) + "\n")
     print(f"answer: {'yes' if res.answer else 'no'}")
@@ -354,18 +373,18 @@ def _random_triples(universe: int, count: int, seed: int) -> list[frozenset[int]
 def cmd_generate(args) -> int:
     family = args.family
     if family == "split":
-        out = from_problem(gen_random_split(args.n, args.seed), kind="graph")
+        out = from_problem(generators.gen_random_split(args.n, args.seed), kind="graph")
     elif family == "bipartite":
-        out = from_problem(gen_random_bipartite(args.n, args.seed), kind="graph")
+        out = from_problem(generators.gen_random_bipartite(args.n, args.seed), kind="graph")
     elif family == "weakly-closed":
-        g = gen_random_weakly_closed(args.n, args.gamma, args.seed)
+        g = generators.gen_random_weakly_closed(args.n, args.gamma, args.seed)
         out = from_problem(g, kind="graph")
     elif family == "k-ab":
-        out = from_problem(gen_k_ab(args.a, args.b), kind="graph")
+        out = from_problem(generators.gen_k_ab(args.a, args.b), kind="graph")
     elif family == "capvc-hard":
         count = args.sets if args.sets is not None else 2 * args.k + 1
         fam = _random_triples(3 * args.k, count, args.seed)
-        out = from_problem(gen_capvc_lowerbound(3 * args.k, fam, 3, args.k))
+        out = from_problem(generators.gen_capvc_lowerbound(3 * args.k, fam, 3, args.k))
     elif family == "is-grid":
         size = args.t ** args.q
         pattern = args.pattern if args.pattern is not None else "0" * size
@@ -374,7 +393,7 @@ def cmd_generate(args) -> int:
         yes = (Graph(1), [(0,)])
         no = (Graph(0), [()])
         instances = [yes if ch == "1" else no for ch in pattern]
-        host, budget = gen_is_composition(instances, args.t, args.q, 1)
+        host, budget = generators.gen_is_composition(instances, args.t, args.q, 1)
         out = InstanceFile(kind="is", graph=host, k=budget)
     else:
         raise UsageError(f"unknown family {family!r}")
@@ -485,3 +504,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4

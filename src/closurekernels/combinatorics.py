@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph import Graph
 
@@ -135,6 +134,8 @@ class VcLpSolution:
 
     @property
     def objective(self) -> Fraction:
+        # imported here: the im kernel imports this module but never reads this
+        from fractions import Fraction
         return Fraction(sum(self.value2), 2)
 
     @property

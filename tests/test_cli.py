@@ -11,8 +11,15 @@ import pytest
 from closurekernels.cli import main
 from closurekernels.graph import Graph
 from closurekernels.instance_io import InstanceFile, parse_instance, write_instance
-from closurekernels.oracles import solve_capvc_exact
+from closurekernels.oracles import (
+    OracleResult,
+    is_dominating_set,
+    is_induced_matching,
+    solve_capvc_exact,
+)
 from closurekernels import verify as verify_mod
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -221,6 +228,28 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "im", src, "--witness", wpath)
         assert code == 0 and "answer: yes" in out
         assert "e 0 1" in open(wpath).read()
+
+    @pytest.mark.parametrize("kind", ["ds", "im"])
+    def test_witness_names_input_labels(self, capsys, tmp_path, kind):
+        # a path on 7 vertices whose labels are neither dense nor 0-based
+        labels = [5, 12, 19, 26, 33, 40, 47]
+        edges = "".join(f"e {labels[i]} {labels[i + 1]}\n" for i in range(6))
+        text = f"p {kind} 7 6 {3 if kind == 'ds' else 2}\n" + edges
+        src = write(tmp_path, "a.ck", text)
+        wpath = str(tmp_path / "w.txt")
+        code, out, _ = run(capsys, "solve", kind, src, "--witness", wpath)
+        assert code == 0 and "answer: yes" in out
+        inst = parse_instance(text)
+        named = [[int(tok) for tok in line.split()[1:]]
+                 for line in open(wpath).read().splitlines()[1:]]
+        assert named and all(lab in labels for item in named for lab in item)
+        dense = [[inst.labels.index(lab) for lab in item] for item in named]
+        if kind == "ds":
+            chosen = [v for (v,) in dense]
+            assert is_dominating_set(inst.graph, chosen) and len(chosen) <= inst.k
+        else:
+            chosen = [tuple(e) for e in dense]
+            assert is_induced_matching(inst.graph, chosen) and len(chosen) >= inst.k
 
     def test_oracle_cap_message_names_flag(self, capsys, tmp_path):
         src = write(tmp_path, "a.ck", C4_CONVC)
@@ -468,6 +497,23 @@ class TestEntryPoints:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    def test_internal_error_exit_code(self, capsys, tmp_path, monkeypatch):
+        def boom(args):
+            raise RuntimeError("broken\ninvariant")
+
+        monkeypatch.setattr("closurekernels.cli.cmd_params", boom)
+        code, out, err = run(capsys, "params", write(tmp_path, "a.ck", C4_GRAPH))
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: broken invariant\n"
+        assert "Traceback" not in err
+
+    def test_witness_failing_recheck_is_internal(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify_mod, "solve_exact",
+                            lambda *a, **kw: OracleResult(True, frozenset()))
+        code, out, err = run(capsys, "solve", "convc", write(tmp_path, "a.ck", C4_CONVC))
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: witness failed validation\n"
+
     def test_module_invocation(self, tmp_path):
         src = tmp_path / "a.ck"
         src.write_text(C4_GRAPH)
@@ -476,3 +522,42 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "weak-closure: 3" in proc.stdout
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports the package
+    from src/; fails the test if the interpreter exits nonzero."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLazyImports:
+    """params and kernel never run the code of verify, oracles or generators."""
+
+    def test_kernel_and_params_leave_heavy_modules_unloaded(self, tmp_path):
+        src = write(tmp_path, "a.ck", C4_CONVC)
+        out = run_fresh(f"""
+import sys
+from closurekernels import cli
+assert cli.main(["kernel", {src!r}, "--out", {str(tmp_path / "o.ck")!r}]) == 0
+assert cli.main(["params", {src!r}]) == 0
+for name in ("verify", "oracles", "generators"):
+    print(name, type(sys.modules["closurekernels." + name]).__name__)
+print("ramsey", "closurekernels.ramsey" in sys.modules)
+print("subprocess", "subprocess" in sys.modules)
+""")
+        assert out.splitlines()[-5:] == [
+            "verify _LazyModule", "oracles _LazyModule", "generators _LazyModule",
+            "ramsey False", "subprocess False"]
+
+    def test_submodule_import_after_cli_is_usable(self):
+        out = run_fresh("import closurekernels.cli\nimport closurekernels.verify\n"
+                        "print(closurekernels.verify.run_suite.__name__)")
+        assert out == "run_suite\n"
+
+    def test_cli_reuses_a_module_imported_before_it(self):
+        out = run_fresh("from closurekernels import verify\nfrom closurekernels import cli\n"
+                        "print(cli.verify_mod is verify, type(verify).__name__)")
+        assert out == "True module\n"
