@@ -136,16 +136,6 @@ def _load_problem(args, inst: InstanceFile, problem_name: str):
     return problem
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 # ---------------------------------------------------------------------------
 # params
 
@@ -243,7 +233,7 @@ def cmd_kernel(args) -> int:
             "weak_closure": ordering.weak_closure,
             "degeneracy": degeneracy(g)[0],
         },
-        "rules": _jsonable(rules),
+        "rules": rules,
         "decided": decided,
         "output": _instance_facts(reduced_problem),
         "bound": bound,

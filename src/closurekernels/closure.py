@@ -17,7 +17,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from math import comb
 
-from .graph import Graph, induced_subgraph, is_independent_set, maximal_cliques
+from .graph import Graph, induced_subgraph, maximal_cliques
 
 
 def vertex_closure(g: Graph, v: int) -> int:
@@ -219,23 +219,6 @@ def exhaustive_weak_closure(g: Graph) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PQSplit:
-    """Neighbors of v before (prior) and after (posterior) v in an ordering."""
-
-    prior: frozenset[int]
-    posterior: frozenset[int]
-
-
-def pq_split(g: Graph, ordering: ClosureOrdering, v: int) -> PQSplit:
-    pos = ordering.position()
-    if v not in pos:
-        raise ValueError(f"vertex {v} not in ordering")
-    pv = pos[v]
-    prior = frozenset(w for w in g.adj(v) if pos[w] < pv)
-    return PQSplit(prior, g.adj(v) - prior)
-
-
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """(degeneracy, peel order): Matula-Beck minimum-degree peeling, ties to the smallest id."""
     deg = [len(nb) for nb in g.adjacency()]
@@ -249,39 +232,6 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
                 deg[w] -= 1
                 queue.lowered(w)
     return d, tuple(order)
-
-
-@dataclass(frozen=True)
-class ClassCounts:
-    """Neighborhood-class statistics of the independent rest of a cover."""
-
-    p_classes: int
-    q_classes: int
-    n_classes: int
-    max_n_class: int
-
-
-def neighborhood_classes(g: Graph, cover: frozenset[int], ordering: ClosureOrdering) -> ClassCounts:
-    """Counts of distinct P(v), Q(v), N(v) over I = V - cover.
-
-    I must be independent (cover is a vertex cover), otherwise ValueError.
-    """
-    ind = [v for v in g.vertices() if v not in cover]
-    if not is_independent_set(g, ind):
-        raise ValueError("complement of cover is not independent")
-    p_seen, q_seen, n_seen = set(), set(), {}
-    for v in ind:
-        pq = pq_split(g, ordering, v)
-        p_seen.add(pq.prior)
-        q_seen.add(pq.posterior)
-        n_seen.setdefault(g.adj(v), 0)
-        n_seen[g.adj(v)] += 1
-    return ClassCounts(
-        p_classes=len(p_seen),
-        q_classes=len(q_seen),
-        n_classes=len(n_seen),
-        max_n_class=max(n_seen.values(), default=0),
-    )
 
 
 def moon_moser_bound(k: int) -> int:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import factorial
 
 from .graph import Graph
 
@@ -89,10 +90,6 @@ def maximum_matching(g: Graph) -> frozenset[tuple[int, int]]:
     return frozenset((v, match[v]) for v in range(n) if match[v] > v)
 
 
-def matching_number(g: Graph) -> int:
-    return len(maximum_matching(g))
-
-
 def is_matching(g: Graph, edges: frozenset[tuple[int, int]]) -> bool:
     seen: set[int] = set()
     for u, v in edges:
@@ -127,20 +124,11 @@ def _bipartite_max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> 
 class VcLpSolution:
     """Optimal half-integral solution of the vertex cover LP.
 
-    value2[v] is the doubled value (0, 1 or 2). objective is exact.
+    value2[v] is twice v's value (0, 1 or 2), so sum(value2) is exactly
+    twice the objective.
     """
 
     value2: tuple[int, ...]
-
-    @property
-    def objective(self) -> Fraction:
-        # imported here: the im kernel imports this module but never reads this
-        from fractions import Fraction
-        return Fraction(sum(self.value2), 2)
-
-    @property
-    def zeros(self) -> frozenset[int]:
-        return frozenset(v for v, x in enumerate(self.value2) if x == 0)
 
     @property
     def halves(self) -> frozenset[int]:
@@ -221,7 +209,8 @@ def find_sunflower(family: list[frozenset[int]], k: int) -> Sunflower | None:
     Either a maximal pairwise-disjoint collection reaches k (core is the
     accumulated popular elements), or the most frequent element is folded
     into the core and the sets containing it recurse. Guaranteed to succeed
-    whenever |family| >= max_size! * k^max_size; may also succeed below.
+    whenever |family| >= sunflower_guarantee(max_size, k); may also succeed
+    below.
     Duplicate sets are distinct members; identical sets pair into a valid
     sunflower (core = the set itself, empty petals).
     """
@@ -258,7 +247,4 @@ def find_sunflower(family: list[frozenset[int]], k: int) -> Sunflower | None:
 
 def sunflower_guarantee(max_size: int, k: int) -> int:
     """Family size forcing a k-member sunflower when all sets have size <= max_size."""
-    out = 1
-    for i in range(2, max_size + 1):
-        out *= i
-    return out * (k ** max_size)
+    return factorial(max_size) * k ** max_size

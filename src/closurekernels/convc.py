@@ -115,7 +115,7 @@ def trivial_rules(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstance 
         return Decided(False, "two components contain red vertices"), {"rule": "split-red", "decided": "no"}
     if k >= 1:
         for v in g.vertices():
-            if red <= {v} and all(v in (a, b) for a, b in g.edges()):
+            if red <= {v} and g.degree(v) == g.m:
                 return Decided(True, f"vertex {v} alone is a solution"), {"rule": "single-vertex", "decided": "yes"}
     return inst, None
 

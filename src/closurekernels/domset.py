@@ -20,11 +20,10 @@ is a maximum clique, so the kernel does not try it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .closure import ClosureEngine, ClosureOrdering, weak_closure_ordering
-from .combinatorics import find_sunflower
+from .combinatorics import find_sunflower, sunflower_guarantee
 from .graph import (
     Graph,
     clique_number,
@@ -293,7 +292,7 @@ def split_bound_report(inst: DsInstance) -> dict:
     part = split_partition(g)
     wc = weak_closure_ordering(g).weak_closure
     isize, csize = len(part.independent), len(part.clique)
-    ibound = math.factorial(wc - 1) * (k + 2) ** (wc - 1)
+    ibound = sunflower_guarantee(wc - 1, k + 2)
     cbound = wc * isize + 1
     return {"name": "split-side-counts", "independent": isize,
             "independent_bound": ibound, "clique": csize, "clique_bound": cbound,

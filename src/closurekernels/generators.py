@@ -252,8 +252,10 @@ def _random_forest(rng, n: int) -> Graph:
     return Graph(n, edges)
 
 
-def gen_random_weakly_closed(n: int, target_gamma: int, seed: int,
-                             max_attempts: int = 400) -> Graph:
+_MAX_ATTEMPTS = 400
+
+
+def gen_random_weakly_closed(n: int, target_gamma: int, seed: int) -> Graph:
     """Random graph whose measured weak closure is at most target_gamma.
 
     Proposals alternate between binomial random graphs at several edge
@@ -267,7 +269,7 @@ def gen_random_weakly_closed(n: int, target_gamma: int, seed: int,
         raise ValueError("weak closure target must be at least 1")
     rng = random.Random(f"weakly-closed:{n}:{target_gamma}:{seed}")
     densities = [0.15, 0.3, 0.5, 0.7]
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         kind = attempt % 4
         if kind == 0:
             p = densities[(attempt // 4) % len(densities)]
@@ -284,7 +286,7 @@ def gen_random_weakly_closed(n: int, target_gamma: int, seed: int,
             return g
     raise ValueError(
         f"no graph with weak closure <= {target_gamma} on {n} vertices "
-        f"after {max_attempts} proposals")
+        f"after {_MAX_ATTEMPTS} proposals")
 
 
 def gen_k_ab(a: int, b: int) -> Graph:

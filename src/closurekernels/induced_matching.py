@@ -1,4 +1,4 @@
-"""Induced matching: three reductions and a bipartite extraction step.
+"""Induced matching: three reductions.
 
 The reductions, in the order the kernel loop tries them:
 
@@ -7,16 +7,13 @@ The reductions, in the order the kernel loop tries them:
 - a vertex whose posterior neighborhood (under a weak closure ordering)
   contains a large plain matching is deletable;
 - one of two false twins is deletable.
-
-The extraction step splits vertices by posterior-neighborhood size,
-producing a bipartite-flavored subinstance used by the size analysis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .capvc import twin_classes
-from .closure import pq_split, weak_closure_ordering
+from .closure import weak_closure_ordering
 from .combinatorics import maximum_matching, vclp_half_integral
 from .graph import Graph, delete_vertices, induced_subgraph
 from .reduction import Decided, exhaust
@@ -57,8 +54,9 @@ def dense_posterior_rule(inst: ImInstance) -> tuple[ImInstance, dict | None]:
     ordering = weak_closure_ordering(g)
     wc = ordering.weak_closure
     threshold = posterior_matching_threshold(wc, k)
+    pos = ordering.position()
     for v in ordering.order:
-        post = pq_split(g, ordering, v).posterior
+        post = [w for w in g.adj(v) if pos[w] > pos[v]]
         if len(post) < 2 * threshold:
             continue
         sub, _ = induced_subgraph(g, post)
@@ -118,47 +116,3 @@ def decided_instance(decision: Decided) -> ImInstance:
     if decision.answer:
         return ImInstance(Graph(0), 0)
     return ImInstance(Graph(1), 1)
-
-
-@dataclass(frozen=True)
-class BipartiteSplit:
-    """Vertices split by posterior-neighborhood size against gamma*k."""
-
-    big: tuple[int, ...]
-    small: tuple[int, ...]
-    weak_closure: int
-
-
-def posterior_size_split(inst: ImInstance) -> BipartiteSplit:
-    g, k = inst.graph, inst.k
-    ordering = weak_closure_ordering(g)
-    wc = ordering.weak_closure
-    big = []
-    small = []
-    for v in g.vertices():
-        if len(pq_split(g, ordering, v).posterior) >= wc * k:
-            big.append(v)
-        else:
-            small.append(v)
-    return BipartiteSplit(tuple(big), tuple(small), wc)
-
-
-def greedy_low_degree_matching(g: Graph) -> frozenset[tuple[int, int]]:
-    """Induced matching picked greedily by minimum endpoint degree sum in
-    the surviving subgraph; picked endpoints and their neighbors drop out.
-
-    The output is always an induced matching. In a graph of degeneracy d
-    its size stays within a 4d+1 factor of the maximum plain matching.
-    """
-    alive = {tuple(sorted(e)) for e in g.edges()}
-    chosen: set[tuple[int, int]] = set()
-    while alive:
-        deg: dict[int, int] = {}
-        for a, b in alive:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        u, v = min(alive, key=lambda e: (deg[e[0]] + deg[e[1]], e))
-        chosen.add((u, v))
-        blocked = g.closed_adj(u) | g.closed_adj(v)
-        alive = {e for e in alive if not (set(e) & blocked)}
-    return frozenset(chosen)

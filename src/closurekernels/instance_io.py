@@ -107,7 +107,7 @@ def parse_instance(text: str) -> InstanceFile:
                 ell = intval(toks[5][0], line_no, toks[5][1], "ell")
             elif kind == "coc":
                 bail(line_no, tag_col, "coc header needs ell")
-            header = (kind, n, m, k, ell)
+            header = (kind, n, m, k, ell, line_no, toks[2][1], toks[3][1])
             continue
         if header is None:
             bail(line_no, tag_col, "record before header")
@@ -156,13 +156,13 @@ def parse_instance(text: str) -> InstanceFile:
 
     if header is None:
         raise ParseError(1, 1, "missing header")
-    kind, n, m, k, ell = header
+    kind, n, m, k, ell, hdr_line, n_col, m_col = header
 
     if len(mentioned) > n:
-        raise ParseError(1, 1, f"{len(mentioned)} labels mentioned but n={n}")
+        raise ParseError(hdr_line, n_col, f"{len(mentioned)} labels mentioned but n={n}")
     if mentioned and max(mentioned) >= n and len(mentioned) < n:
         raise ParseError(
-            1, 1, "out-of-range labels combined with unmentioned vertices")
+            hdr_line, n_col, "out-of-range labels combined with unmentioned vertices")
     if len(mentioned) < n:
         spare = [x for x in range(n) if x not in mentioned]
         labels = sorted(mentioned | set(spare[:n - len(mentioned)]))
@@ -180,7 +180,7 @@ def parse_instance(text: str) -> InstanceFile:
         edges.append((dense[u], dense[v]))
     g = Graph(n, edges)
     if g.m != m:
-        raise ParseError(1, 1, f"header says m={m} but {g.m} edges given")
+        raise ParseError(hdr_line, m_col, f"header says m={m} but {g.m} edges given")
 
     cap = None
     if kind == "capvc":

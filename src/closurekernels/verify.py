@@ -771,7 +771,3 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResul
         elif name not in ("composition-patterns", "determinism"):
             kwargs["trials"] = trials
     return fn(**kwargs)
-
-
-def run_all(trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
-    return [run_suite(name, trials=trials, seed=seed) for name in SUITES]

@@ -489,6 +489,12 @@ class TestEntryPoints:
         assert code == 3
         assert f"{src}:2:5:" in err
 
+    def test_edge_count_error_points_at_header_m(self, capsys, tmp_path):
+        src = write(tmp_path, "hdr.ck", "c a\nc b\np graph 3 5 0\ne 0 1\ne 1 2\n")
+        code, _, err = run(capsys, "params", src)
+        assert code == 3
+        assert err == f"{src}:3:11: header says m=5 but 2 edges given\n"
+
     def test_usage_error_from_argparse(self, capsys):
         assert main(["kernel"]) == 2
         capsys.readouterr()

@@ -1,11 +1,11 @@
 """Closure parameter engines, checked against exhaustive-ordering oracles."""
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
 from closurekernels.closure import (
-    ClassCounts,
     ClosureEngine,
     ClosureOrdering,
     _suffix_closures,
@@ -14,8 +14,6 @@ from closurekernels.closure import (
     exhaustive_weak_closure,
     moon_moser_bound,
     neighborhood_class_bound,
-    neighborhood_classes,
-    pq_split,
     vertex_closure,
     verify_closure_ordering,
     weak_closure_ordering,
@@ -214,22 +212,6 @@ def test_greedy_equals_exhaustive_random():
         assert o.weak_closure <= d + 1
 
 
-def test_pq_split():
-    g = cycle_graph(4)
-    o = weak_closure_ordering(g)
-    pos = o.position()
-    for v in g.vertices():
-        pq = pq_split(g, o, v)
-        assert pq.prior | pq.posterior == g.adj(v)
-        assert not (pq.prior & pq.posterior)
-        for w in pq.prior:
-            assert pos[w] < pos[v]
-        for w in pq.posterior:
-            assert pos[w] > pos[v]
-    with pytest.raises(ValueError):
-        pq_split(g, o, 17)
-
-
 def test_posterior_intersection_property():
     # nonadjacent u,v: |Q(u) cap N(v)| <= weak_closure - 1
     rng = random.Random(5)
@@ -242,8 +224,8 @@ def test_posterior_intersection_property():
             for v in g.vertices():
                 if u == v or g.has_edge(u, v):
                     continue
-                qu = pq_split(g, o, u).posterior
-                qv = pq_split(g, o, v).posterior
+                qu = {w for w in g.adj(u) if pos[w] > pos[u]}
+                qv = {w for w in g.adj(v) if pos[w] > pos[v]}
                 if pos[u] < pos[v]:
                     assert len(qu & qv) <= len(qu & g.adj(v))
                     assert len(qu & g.adj(v)) <= o.weak_closure - 1
@@ -256,29 +238,6 @@ def test_degeneracy_values():
     assert degeneracy(empty_graph(3))[0] == 0
     d, order = degeneracy(path_graph(6))
     assert d == 1 and sorted(order) == list(range(6))
-
-
-def test_neighborhood_classes_star():
-    g = star_graph(5)
-    o = weak_closure_ordering(g)
-    counts = neighborhood_classes(g, frozenset({0}), o)
-    # all leaves share N = {hub}
-    assert counts.n_classes == 1
-    assert counts.max_n_class == 5
-    assert counts.n_classes <= counts.p_classes * counts.q_classes
-    with pytest.raises(ValueError):
-        neighborhood_classes(g, frozenset(), o)  # leaves-only is fine, V is not
-
-
-def test_neighborhood_classes_product_bound():
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(2, 9)
-        g = random_graph(n, rng.choice([0.25, 0.5]), rng)
-        cover = minimum_vertex_cover(g)
-        o = weak_closure_ordering(g)
-        counts = neighborhood_classes(g, cover, o)
-        assert counts.n_classes <= counts.p_classes * counts.q_classes
 
 
 def test_moon_moser():
@@ -304,11 +263,11 @@ def test_class_bound_dominates_reality():
         g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), rng)
         cover = minimum_vertex_cover(g)
         o = weak_closure_ordering(g)
-        counts = neighborhood_classes(g, cover, o)
+        n_classes = Counter(g.adj(v) for v in g.vertices() if v not in cover)
         size_i = g.n - len(cover)
         if size_i == 0 or len(cover) == 0:
             # the explicit formula is 0 for an empty cover by construction
             continue
-        bound = neighborhood_class_bound(len(cover), o.weak_closure, counts.max_n_class)
+        bound = neighborhood_class_bound(len(cover), o.weak_closure, max(n_classes.values()))
         assert size_i <= bound
-        assert counts.n_classes <= neighborhood_class_bound(len(cover), o.weak_closure, 1)
+        assert len(n_classes) <= neighborhood_class_bound(len(cover), o.weak_closure, 1)

@@ -8,7 +8,6 @@ from closurekernels.combinatorics import (
     Sunflower,
     find_sunflower,
     is_matching,
-    matching_number,
     maximum_matching,
     sunflower_guarantee,
     validate_sunflower,
@@ -58,11 +57,11 @@ def brute_matching_number(g):
 
 
 def test_matching_small_examples():
-    assert matching_number(empty_graph(4)) == 0
-    assert matching_number(path_graph(4)) == 2
-    assert matching_number(cycle_graph(5)) == 2
-    assert matching_number(complete_graph(6)) == 3
-    assert matching_number(star_graph(9)) == 1
+    assert len(maximum_matching(empty_graph(4))) == 0
+    assert len(maximum_matching(path_graph(4))) == 2
+    assert len(maximum_matching(cycle_graph(5))) == 2
+    assert len(maximum_matching(complete_graph(6))) == 3
+    assert len(maximum_matching(star_graph(9))) == 1
 
 
 def test_matching_petersen():
@@ -113,26 +112,26 @@ def exhaustive_vclp_opt(g):
 def test_vclp_examples():
     # C4: all halves, objective 2
     sol = vclp_half_integral(cycle_graph(4))
-    assert sol.objective == 2
+    assert Fraction(sum(sol.value2), 2) == 2
     assert vclp_is_feasible(cycle_graph(4), sol.value2)
     # K3: all halves, objective 3/2
     sol3 = vclp_half_integral(complete_graph(3))
-    assert sol3.objective == Fraction(3, 2)
+    assert Fraction(sum(sol3.value2), 2) == Fraction(3, 2)
     assert sol3.halves == frozenset({0, 1, 2})
     # star: hub 1, leaves 0
     sols = vclp_half_integral(star_graph(4))
-    assert sols.objective == 1
+    assert Fraction(sum(sols.value2), 2) == 1
     assert sols.ones == frozenset({0})
-    assert sols.zeros == frozenset({1, 2, 3, 4})
+    assert [v for v, x in enumerate(sols.value2) if x == 0] == [1, 2, 3, 4]
     # no edges: all zeros
-    assert vclp_half_integral(empty_graph(3)).objective == 0
+    assert vclp_half_integral(empty_graph(3)).value2 == (0, 0, 0)
 
 
 def test_vclp_structure():
     g = complete_bipartite(2, 3)
     sol = vclp_half_integral(g)
-    assert sol.objective == 2
-    assert sol.objective == Fraction(len(sol.halves), 2) + len(sol.ones)
+    assert Fraction(sum(sol.value2), 2) == 2
+    assert Fraction(sum(sol.value2), 2) == Fraction(len(sol.halves), 2) + len(sol.ones)
 
 
 def test_vclp_exhaustive_small():
@@ -142,8 +141,8 @@ def test_vclp_exhaustive_small():
         g = random_graph(n, rng.choice([0.25, 0.5, 0.8]), rng)
         sol = vclp_half_integral(g)
         assert vclp_is_feasible(g, sol.value2)
-        assert sol.objective == exhaustive_vclp_opt(g)
-        assert sol.objective == Fraction(len(sol.halves), 2) + len(sol.ones)
+        assert Fraction(sum(sol.value2), 2) == exhaustive_vclp_opt(g)
+        assert Fraction(sum(sol.value2), 2) == Fraction(len(sol.halves), 2) + len(sol.ones)
 
 
 def test_sunflower_identical_sets():

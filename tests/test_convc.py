@@ -118,6 +118,36 @@ def test_trivial_single_vertex_solution_is_yes():
     assert entry2 is None and out2.graph == path_graph(3)
 
 
+def _naive_single_vertex(inst):
+    # the old form of the single-vertex test: one edge-list scan per vertex
+    g, red = inst.graph, inst.red
+    return inst.k >= 1 and any(red <= {v} and all(v in (a, b) for a, b in g.edges())
+                               for v in g.vertices())
+
+
+def test_trivial_single_vertex_matches_naive_edge_scan():
+    rng = random.Random(37)
+    outcomes = set()
+    for trial in range(400):
+        n = rng.randint(0, 7)
+        hub = rng.randrange(n) if n else None
+        p = 0.0 if trial % 4 == 0 else rng.choice([0.1, 0.3])  # every fourth edgeless
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < (0.8 if hub in (u, v) and p else p)]
+        red = frozenset(rng.sample(range(n), min(n, rng.randint(0, 2))))
+        inst = AnnotatedConVcInstance(Graph(n, edges), red, rng.randint(0, 2))
+        out, entry = trivial_rules(inst)
+        while entry is not None and entry["rule"] == "isolated-white":
+            inst = out
+            out, entry = trivial_rules(inst)
+        if entry is not None and entry["rule"] != "single-vertex":
+            continue  # decided by a component rule first
+        fired = entry is not None
+        assert fired == _naive_single_vertex(inst), (n, edges, sorted(red))
+        outcomes.add((fired, inst.graph.m == 0))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_find_simplicial():
     assert find_simplicial(path_graph(4)) == 0
     assert find_simplicial(cycle_graph(5)) is None

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from closurekernels import generators
 from closurekernels.closure import closure_number, weak_closure_ordering
 from closurekernels.domset import is_split
 from closurekernels.generators import (
@@ -245,9 +246,10 @@ class TestRandomFamilies:
         b = gen_random_weakly_closed(8, 2, 3)
         assert a.edges() == b.edges()
 
-    def test_weakly_closed_exhausted_raises(self):
+    def test_weakly_closed_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(generators, "_MAX_ATTEMPTS", 0)
         with pytest.raises(ValueError):
-            gen_random_weakly_closed(8, 1, 0, max_attempts=0)
+            gen_random_weakly_closed(8, 1, 0)
 
     def test_k_ab_frozen_parameters(self):
         g = gen_k_ab(2, 5)

@@ -2,29 +2,23 @@ import random
 
 import pytest
 
-from closurekernels.closure import degeneracy
-from closurekernels.combinatorics import matching_number
 from closurekernels.graph import (
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
-    star_graph,
 )
 from closurekernels.induced_matching import (
-    BipartiteSplit,
     ImInstance,
     dense_posterior_rule,
-    greedy_low_degree_matching,
     im_twin_rule,
     kernelize_im,
     lp_threshold_rule,
     lp_yes_threshold,
     posterior_matching_threshold,
-    posterior_size_split,
 )
-from closurekernels.oracles import is_induced_matching, solve_im_exact
+from closurekernels.oracles import solve_im_exact
 from closurekernels.reduction import Decided
 
 
@@ -121,32 +115,6 @@ def test_kernel_deterministic():
         g = random_graph(rng, 7, 0.45)
         inst = ImInstance(g, 2)
         assert kernelize_im(inst) == kernelize_im(inst)
-
-
-def test_posterior_size_split_star():
-    split = posterior_size_split(ImInstance(star_graph(5), 1))
-    assert split == BipartiteSplit((0,), (1, 2, 3, 4, 5), 1)
-
-
-def test_greedy_matching_is_induced():
-    rng = random.Random(97)
-    for _ in range(120):
-        n = rng.randint(1, 10)
-        g = random_graph(rng, n, rng.choice([0.2, 0.5]))
-        chosen = greedy_low_degree_matching(g)
-        assert is_induced_matching(g, chosen)
-
-
-def test_greedy_matching_degeneracy_ratio():
-    rng = random.Random(101)
-    for _ in range(120):
-        n = rng.randint(2, 10)
-        g = random_graph(rng, n, rng.choice([0.15, 0.35, 0.6]))
-        if g.m == 0:
-            continue
-        d, _ = degeneracy(g)
-        chosen = greedy_low_degree_matching(g)
-        assert len(chosen) * (4 * d + 1) >= matching_number(g)
 
 
 def test_instance_validation():

@@ -107,6 +107,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance("p graph 2 1 0\ne 0 1\ne 1 0\n")
 
+    @pytest.mark.parametrize("text, line, col", [
+        ("c a\nc b\np graph 3 5 0\ne 0 1\ne 1 2\n", 3, 11),   # m mismatch
+        ("c a\n  p graph 2 2 0\ne 0 1\ne 1 2\n", 2, 11),      # labels > n
+        ("c a\np graph 3 1 0\ne 5 6\n", 2, 9),               # gaps with out-of-range labels
+    ], ids=["m-mismatch", "too-many-labels", "label-gaps"])
+    def test_header_count_errors_point_at_header_token(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError):
             parse_instance("p graph 2 1 0\ne 1 1\n")

@@ -1,6 +1,23 @@
 """The shared reduction driver: priority order, restart after a fire, stop
 on a decision."""
 
+import json
+import random
+
+from closurekernels.capvc import CapVcInstance, kernelize_capvc
+from closurekernels.convc import (
+    AnnotatedConVcInstance,
+    CocInstance,
+    ConVcInstance,
+    kernelize_coc,
+    kernelize_convc,
+    kernelize_convc_annotated,
+    kernelize_convc_c,
+)
+from closurekernels.domset import DsInstance, kernelize_ds_split
+from closurekernels.generators import gen_random_split
+from closurekernels.graph import Graph
+from closurekernels.induced_matching import ImInstance, kernelize_im
 from closurekernels.reduction import Decided, exhaust
 
 
@@ -34,3 +51,43 @@ def test_stops_at_a_decision_with_its_entry_last():
     out, trace = exhaust(4, (_decide_at_one, _halve_even))
     assert out == Decided(True, "one")
     assert [e["rule"] for e in trace] == ["halve", "halve", "one"]
+
+
+def _twin_heavy(rng, n):
+    # a random base graph, then false-twin copies of some of its vertices
+    base = rng.randint(2, n - 2)
+    edges = [(u, v) for u in range(base) for v in range(u + 1, base) if rng.random() < 0.4]
+    adj = {v: {w for e in edges if v in e for w in e if w != v} for v in range(base)}
+    for copy in range(base, n):
+        edges += [(w, copy) for w in adj[rng.randrange(base)]]
+    return Graph(n, edges)
+
+
+def test_kernel_traces_are_plain_json():
+    # `kernel` writes the rule entries as they are, so each one must survive
+    # a JSON round trip unchanged: str keys, no tuples, sets or int keys
+    rng = random.Random(41)
+    routes = {
+        "capvc": lambda g, k: kernelize_capvc(
+            CapVcInstance(g, tuple(rng.randint(0, 3) for _ in g.vertices()), k)),
+        "convc-gamma": lambda g, k: kernelize_convc(ConVcInstance(g, k)),
+        "convc-c": lambda g, k: kernelize_convc_c(ConVcInstance(g, k)),
+        "convc-red": lambda g, k: kernelize_convc_annotated(AnnotatedConVcInstance(
+            g, frozenset(rng.sample(range(g.n), 2)), k)),
+        "coc": lambda g, k: kernelize_coc(CocInstance(g, rng.randint(1, 2), k)),
+        "im": lambda g, k: kernelize_im(ImInstance(g, k)),
+        "ds": lambda g, k: kernelize_ds_split(DsInstance(gen_random_split(g.n, rng.randrange(1000)), k)),
+    }
+    traces = [kernelize(_twin_heavy(rng, rng.randint(5, 12)), rng.randint(0, 3))[1]
+              for kernelize in routes.values() for _ in range(25)]
+    # a bowtie's hub peels first, with a 2-edge matching behind it
+    bowtie = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
+    traces.append(kernelize_im(ImInstance(bowtie, 1))[1])
+    for trace in traces:
+        assert json.loads(json.dumps(trace)) == trace
+    fired = {entry["rule"] for trace in traces for entry in trace}
+    assert fired == {  # every rule a kernel tries
+        "twin-class", "component-twin", "isolated-white", "simplicial", "single-vertex",
+        "small-component", "split-edges", "split-red", "twinset", "dominated-clique-vertex",
+        "dominated-independent-vertex", "isolated", "sunflower", "dense-posterior",
+        "lp-threshold", "twin"}

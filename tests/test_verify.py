@@ -9,7 +9,6 @@ from closurekernels.verify import (
     RULE_CASES,
     SUITES,
     SuiteResult,
-    run_all,
     run_suite,
     suite_biclique_certificate,
     suite_composition_patterns,
@@ -116,7 +115,7 @@ def test_run_suite_dispatch():
 
 
 def test_run_all_covers_registry():
-    results = run_all(trials=5, seed=11)
+    results = [run_suite(name, trials=5, seed=11) for name in SUITES]
     assert [r.name for r in results] == list(SUITES)
     assert all(r.passed for r in results)
 
