@@ -206,10 +206,17 @@ def cmd_kernel(args) -> int:
         "im": (induced_matching.kernelize_im, None),
         "ds": (domset.kernelize_ds_split, domset.split_bound_report),
     }[route]
+    # before the pipeline, so that the input's weak closure ordering is the
+    # one its first round reuses, and the final graph's is still there for
+    # the bound report
+    g = problem.graph
+    params = {
+        "closure": closure_number(g),
+        "weak_closure": weak_closure_ordering(g).weak_closure,
+        "degeneracy": degeneracy(g)[0],
+    }
     out, rules = pipeline(problem)
 
-    g = problem.graph
-    ordering = weak_closure_ordering(g)
     decided = None
     if isinstance(out, Decided):
         decided = {"answer": out.answer, "reason": out.reason}
@@ -228,11 +235,7 @@ def cmd_kernel(args) -> int:
         "problem": problem_name,
         "mode": mode if problem_name == "convc" else None,
         "input": _instance_facts(problem),
-        "params": {
-            "closure": closure_number(g),
-            "weak_closure": ordering.weak_closure,
-            "degeneracy": degeneracy(g)[0],
-        },
+        "params": params,
         "rules": rules,
         "decided": decided,
         "output": _instance_facts(reduced_problem),

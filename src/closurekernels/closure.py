@@ -9,6 +9,13 @@ peeling and certified by the emitted ordering.
 
 ClosureEngine peels from common-neighbor counts kept up to date from wedges;
 vertex_closure, _suffix_closures and exhaustive_weak_closure recompute from scratch.
+
+The pristine count table and the weak closure ordering are built once per
+graph object and kept for the last graph each was asked about, so the callers
+that look at one graph in turn share them: the kernel CLI's parameter report,
+the im rules of one round, and the ds sunflower rule (whose good_ordering
+builds two engines) with the size report on the final graph. Every engine
+works on a copy of the table.
 """
 from __future__ import annotations
 
@@ -17,7 +24,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from math import comb
 
-from .graph import Graph, induced_subgraph, maximal_cliques
+from .graph import Graph, induced_subgraph, last_graph_memo, maximal_cliques
 
 
 def vertex_closure(g: Graph, v: int) -> int:
@@ -101,24 +108,36 @@ class _MinBuckets:
             lo += 1
 
 
+@last_graph_memo
+def _count_table(g: Graph) -> tuple[list[dict[int, int]], list[int]]:
+    """rows[v][w] = |N(v) & N(w)| for every nonadjacent w != v sharing a
+    neighbor with v, built from the wedges in O(sum of deg^2), and each row's
+    maximum (0 for an empty row). Shared by every engine on g: read only."""
+    adj = g.adjacency()
+    rows = [{} for _ in adj]
+    for nb in adj:  # every wedge u - c - w with u, w nonadjacent
+        for u in nb:
+            row = rows[u]
+            for w in nb - adj[u]:
+                if w != u:
+                    row[w] = row.get(w, 0) + 1
+    return rows, [max(row.values()) if row else 0 for row in rows]
+
+
 class ClosureEngine(_MinBuckets):
     """Closures of an induced subgraph losing one vertex at a time: rows[v][w]
-    counts v's common neighbors with each nonadjacent alive w (built from the
-    wedges in O(sum of deg^2)); closure[v] is the row maximum, or 0."""
+    counts v's common neighbors with each nonadjacent alive w; closure[v] is
+    the row maximum, or 0. Each engine starts from its own copy of g's count
+    table, so engines on one graph never share state."""
 
     __slots__ = ("adj", "rows", "alive", "closure")
 
     def __init__(self, g: Graph):
-        adj = self.adj = g.adjacency()
-        rows = self.rows = [{} for _ in adj]
-        for nb in adj:  # every wedge u - c - w with u, w nonadjacent
-            for u in nb:
-                row = rows[u]
-                for w in nb - adj[u]:
-                    if w != u:
-                        row[w] = row.get(w, 0) + 1
+        rows, closure = _count_table(g)
+        self.adj = g.adjacency()
+        self.rows = [row.copy() for row in rows]
         self.alive = set(g.vertices())
-        self.closure = [max(row.values()) if row else 0 for row in rows]
+        self.closure = closure.copy()
         super().__init__(self.closure)
 
     def remove(self, x: int) -> None:
@@ -156,6 +175,7 @@ class ClosureEngine(_MinBuckets):
         return ClosureOrdering(tuple(picked), tuple(steps), 1 + max(steps, default=0))
 
 
+@last_graph_memo
 def weak_closure_ordering(g: Graph) -> ClosureOrdering:
     """Greedy peeling: repeatedly remove a vertex of minimum closure.
 

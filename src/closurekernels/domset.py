@@ -2,7 +2,7 @@
 reductions, plus the biclique-freeness check used for the bipartite route.
 
 The split kernel works against the degree-sequence clique/independent
-bipartition, recomputed every round:
+bipartition of the current graph, computed once per graph:
 
 - a clique vertex whose closed neighborhood is contained in another's is
   deletable;
@@ -31,6 +31,7 @@ from .graph import (
     delete_vertices,
     is_clique,
     is_independent_set,
+    last_graph_memo,
 )
 from .reduction import Decided, exhaust
 
@@ -56,6 +57,7 @@ class GoodOrderingError(RuntimeError):
     non-split input or an internal invariant violation."""
 
 
+@last_graph_memo
 def _split_partition_opt(g: Graph) -> SplitPartition | None:
     degs = sorted(((g.degree(v), v) for v in g.vertices()),
                   key=lambda t: (-t[0], t[1]))
@@ -193,14 +195,11 @@ def dominated_clique_vertex_rule(inst: DsInstance) -> tuple[DsInstance, dict | N
     """Delete the first clique vertex whose closed neighborhood is contained
     in another clique vertex's closed neighborhood (ties keep the smaller id)."""
     g = inst.graph
-    part = split_partition(g)
-    for v in part.clique:
-        nv = g.closed_adj(v)
-        for u in part.clique:
-            if u == v:
-                continue
-            nu = g.closed_adj(u)
-            if nu >= nv and (nu != nv or u < v):
+    clique = split_partition(g).clique
+    closed = [g.closed_adj(v) for v in clique]
+    for v, nv in zip(clique, closed):
+        for u, nu in zip(clique, closed):
+            if u != v and nu >= nv and (nu != nv or u < v):
                 new_graph, _ = delete_vertices(g, [v])
                 entry = {"rule": "dominated-clique-vertex", "removed": v, "dominator": u}
                 return DsInstance(new_graph, inst.k), entry
@@ -270,8 +269,11 @@ def sunflower_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
 
 def kernelize_ds_split(inst: DsInstance) -> tuple[DsInstance | Decided, list[dict]]:
     """The isolated-vertex charge and the three reductions to exhaustion,
-    cheapest checks first. The partition and ordering are recomputed from
-    scratch every round. Raises ValueError for non-split graphs."""
+    cheapest checks first. Every rule of a round reads the same graph, so
+    the partition is computed once per round and the sunflower rule's
+    ordering builds the common-neighbor counts once (both are kept for the
+    last graph asked about); a fire makes a new graph, and the next round
+    computes them afresh. Raises ValueError for non-split graphs."""
     split_partition(inst.graph)
     return exhaust(inst, (isolated_rule, dominated_clique_vertex_rule,
                           dominated_independent_vertex_rule, sunflower_rule))

@@ -7,8 +7,11 @@ of vertices; the exact oracles stay exponential and are capped.
 """
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
+
+T = TypeVar("T")
 
 
 class Graph:
@@ -91,6 +94,23 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return masks
+
+
+def last_graph_memo(fn: Callable[[Graph], T]) -> Callable[[Graph], T]:
+    """Remember fn's result for the last graph it was called on, keyed by
+    identity. A Graph never changes, so the result stays valid; the memo
+    holds a strong reference to that one graph, so its id cannot be reused
+    by another while the entry lives."""
+    last: tuple = (None, None)
+
+    @wraps(fn)
+    def memo(g: Graph) -> T:
+        nonlocal last
+        if last[0] is not g:
+            last = (g, fn(g))
+        return last[1]
+
+    return memo
 
 
 def empty_graph(n: int) -> Graph:

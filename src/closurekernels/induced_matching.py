@@ -74,10 +74,17 @@ def dense_posterior_rule(inst: ImInstance) -> tuple[ImInstance, dict | None]:
 
 def lp_threshold_rule(inst: ImInstance) -> tuple[ImInstance | Decided, dict | None]:
     """Decide Yes when the vertex cover LP optimum is at least twice the
-    double-shrunk budget bound."""
+    double-shrunk budget bound.
+
+    The doubled optimum is at most 2n and the threshold grows with the weak
+    closure, which is at least 1, so for k >= 1 the rule returns before any
+    LP work unless 2n reaches lp_yes_threshold(1, k) (600,250 at k = 1).
+    Rule-safety's small graphs therefore exercise only the k = 0 branch."""
     g, k = inst.graph, inst.k
     if k == 0:
         return Decided(True, "empty matching suffices"), {"rule": "lp-threshold", "decided": "yes"}
+    if 2 * g.n < lp_yes_threshold(1, k):
+        return inst, None
     wc = weak_closure_ordering(g).weak_closure
     sol = vclp_half_integral(g)
     doubled = sum(sol.value2)

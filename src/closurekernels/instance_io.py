@@ -64,8 +64,11 @@ class InstanceFile:
             raise ValueError("part vector length must equal vertex count")
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+def _column(line: str, i: int) -> int:
+    """1-based column of the line's i-th whitespace-separated token. Only
+    error paths need it; the parser splits lines with str.split, which
+    splits on the same whitespace as this pattern."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line)][i]
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -75,94 +78,96 @@ def parse_instance(text: str) -> InstanceFile:
     parts: dict[int, tuple[int, int]] = {}
     edge_labels: list[tuple[int, int, int]] = []
     mentioned: set[int] = set()
+    lines = text.splitlines()
 
-    def bail(line_no: int, col: int, msg: str):
-        raise ParseError(line_no, col, msg)
+    def bail(line_no: int, i: int, msg: str):
+        """Raise at the i-th token of line line_no."""
+        raise ParseError(line_no, _column(lines[line_no - 1], i), msg)
 
-    def intval(tok: str, line_no: int, col: int, what: str) -> int:
+    def intval(toks: list[str], i: int, line_no: int, what: str) -> int:
+        tok = toks[i]
         if not (tok.isascii() and tok.isdigit()):
-            bail(line_no, col, f"{what} must be a nonnegative integer, got {tok!r}")
+            bail(line_no, i, f"{what} must be a nonnegative integer, got {tok!r}")
         return int(tok)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokens(raw)
-        if not toks or toks[0][0] == "c":
+    for line_no, raw in enumerate(lines, start=1):
+        toks = raw.split()
+        if not toks or toks[0] == "c":
             continue
-        tag, tag_col = toks[0]
+        tag = toks[0]
         if tag == "p":
             if header is not None:
-                bail(line_no, tag_col, "duplicate header")
+                bail(line_no, 0, "duplicate header")
             if len(toks) not in (5, 6):
-                bail(line_no, tag_col, "header needs: p kind n m k [ell]")
-            kind = toks[1][0]
+                bail(line_no, 0, "header needs: p kind n m k [ell]")
+            kind = toks[1]
             if kind not in KINDS:
-                bail(line_no, toks[1][1], f"unknown kind {kind!r}")
-            n = intval(toks[2][0], line_no, toks[2][1], "n")
-            m = intval(toks[3][0], line_no, toks[3][1], "m")
-            k = intval(toks[4][0], line_no, toks[4][1], "k")
+                bail(line_no, 1, f"unknown kind {kind!r}")
+            n = intval(toks, 2, line_no, "n")
+            m = intval(toks, 3, line_no, "m")
+            k = intval(toks, 4, line_no, "k")
             ell = None
             if len(toks) == 6:
                 if kind != "coc":
-                    bail(line_no, toks[5][1], "ell only allowed for coc")
-                ell = intval(toks[5][0], line_no, toks[5][1], "ell")
+                    bail(line_no, 5, "ell only allowed for coc")
+                ell = intval(toks, 5, line_no, "ell")
             elif kind == "coc":
-                bail(line_no, tag_col, "coc header needs ell")
-            header = (kind, n, m, k, ell, line_no, toks[2][1], toks[3][1])
+                bail(line_no, 0, "coc header needs ell")
+            header = (kind, n, m, k, ell, line_no)
             continue
         if header is None:
-            bail(line_no, tag_col, "record before header")
+            bail(line_no, 0, "record before header")
         kind = header[0]
         if tag == "e":
             if len(toks) != 3:
-                bail(line_no, tag_col, "edge needs: e u v")
-            u = intval(toks[1][0], line_no, toks[1][1], "endpoint")
-            v = intval(toks[2][0], line_no, toks[2][1], "endpoint")
+                bail(line_no, 0, "edge needs: e u v")
+            u = intval(toks, 1, line_no, "endpoint")
+            v = intval(toks, 2, line_no, "endpoint")
             if u == v:
-                bail(line_no, toks[1][1], "self-loop")
+                bail(line_no, 1, "self-loop")
             edge_labels.append((u, v, line_no))
             mentioned.update((u, v))
         elif tag == "cap":
             if kind != "capvc":
-                bail(line_no, tag_col, "cap only allowed for capvc")
+                bail(line_no, 0, "cap only allowed for capvc")
             if len(toks) != 3:
-                bail(line_no, tag_col, "capacity needs: cap v x")
-            v = intval(toks[1][0], line_no, toks[1][1], "vertex")
-            x = intval(toks[2][0], line_no, toks[2][1], "capacity")
+                bail(line_no, 0, "capacity needs: cap v x")
+            v = intval(toks, 1, line_no, "vertex")
+            x = intval(toks, 2, line_no, "capacity")
             if v in caps:
-                bail(line_no, toks[1][1], f"duplicate capacity for {v}")
+                bail(line_no, 1, f"duplicate capacity for {v}")
             caps[v] = (x, line_no)
             mentioned.add(v)
         elif tag == "red":
             if kind != "convc":
-                bail(line_no, tag_col, "red only allowed for convc")
+                bail(line_no, 0, "red only allowed for convc")
             if len(toks) != 2:
-                bail(line_no, tag_col, "red needs: red v")
-            v = intval(toks[1][0], line_no, toks[1][1], "vertex")
+                bail(line_no, 0, "red needs: red v")
+            v = intval(toks, 1, line_no, "vertex")
             reds[v] = line_no
             mentioned.add(v)
         elif tag == "part":
             if kind != "is":
-                bail(line_no, tag_col, "part only allowed for is")
+                bail(line_no, 0, "part only allowed for is")
             if len(toks) != 3:
-                bail(line_no, tag_col, "part needs: part v i")
-            v = intval(toks[1][0], line_no, toks[1][1], "vertex")
-            i = intval(toks[2][0], line_no, toks[2][1], "part index")
+                bail(line_no, 0, "part needs: part v i")
+            v = intval(toks, 1, line_no, "vertex")
+            i = intval(toks, 2, line_no, "part index")
             if v in parts:
-                bail(line_no, toks[1][1], f"duplicate part for {v}")
+                bail(line_no, 1, f"duplicate part for {v}")
             parts[v] = (i, line_no)
             mentioned.add(v)
         else:
-            bail(line_no, tag_col, f"unknown record {tag!r}")
+            bail(line_no, 0, f"unknown record {tag!r}")
 
     if header is None:
         raise ParseError(1, 1, "missing header")
-    kind, n, m, k, ell, hdr_line, n_col, m_col = header
+    kind, n, m, k, ell, hdr_line = header
 
     if len(mentioned) > n:
-        raise ParseError(hdr_line, n_col, f"{len(mentioned)} labels mentioned but n={n}")
+        bail(hdr_line, 2, f"{len(mentioned)} labels mentioned but n={n}")
     if mentioned and max(mentioned) >= n and len(mentioned) < n:
-        raise ParseError(
-            hdr_line, n_col, "out-of-range labels combined with unmentioned vertices")
+        bail(hdr_line, 2, "out-of-range labels combined with unmentioned vertices")
     if len(mentioned) < n:
         spare = [x for x in range(n) if x not in mentioned]
         labels = sorted(mentioned | set(spare[:n - len(mentioned)]))
@@ -175,12 +180,12 @@ def parse_instance(text: str) -> InstanceFile:
     for u, v, line_no in edge_labels:
         pair = (min(u, v), max(u, v))
         if pair in seen_pairs:
-            raise ParseError(line_no, 1, f"duplicate edge {pair}")
+            bail(line_no, 0, f"duplicate edge {pair}")
         seen_pairs.add(pair)
         edges.append((dense[u], dense[v]))
     g = Graph(n, edges)
     if g.m != m:
-        raise ParseError(hdr_line, m_col, f"header says m={m} but {g.m} edges given")
+        bail(hdr_line, 3, f"header says m={m} but {g.m} edges given")
 
     cap = None
     if kind == "capvc":

@@ -1,10 +1,13 @@
 """Closure parameter engines, checked against exhaustive-ordering oracles."""
+import json
 import random
 from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
+from closurekernels import cli
+from closurekernels import closure as closure_module
 from closurekernels.closure import (
     ClosureEngine,
     ClosureOrdering,
@@ -18,16 +21,21 @@ from closurekernels.closure import (
     verify_closure_ordering,
     weak_closure_ordering,
 )
+from closurekernels.generators import gen_random_split
 from closurekernels.graph import (
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     empty_graph,
+    last_graph_memo,
     path_graph,
     star_graph,
 )
+from closurekernels.induced_matching import ImInstance, kernelize_im
+from closurekernels.instance_io import InstanceFile, write_instance
 from closurekernels.oracles import minimum_vertex_cover
+from closurekernels.reduction import Decided
 
 
 def random_graph(n, p, rng):
@@ -139,6 +147,95 @@ def test_engine_replay_matches_suffix_closures():
         replay = ClosureEngine(g).peel(tuple(order))
         assert replay.step_closure == _suffix_closures(g, tuple(order))
         assert verify_closure_ordering(g, replay)
+
+
+def fresh_rows(g):
+    # common-neighbor counts recomputed pair by pair
+    return [{w: len(g.adj(v) & g.adj(w)) for w in g.vertices()
+             if w != v and w not in g.adj(v) and g.adj(v) & g.adj(w)}
+            for v in g.vertices()]
+
+
+def test_engines_on_one_graph_are_independent():
+    for g in engine_cases():
+        first, second = ClosureEngine(g), ClosureEngine(g)
+        first.peel()
+        rows = fresh_rows(g)
+        closures = [max(row.values(), default=0) for row in rows]
+        assert second.rows == rows and second.closure == closures
+        assert second.peel() == naive_weak_closure_ordering(g)
+        third = ClosureEngine(g)
+        assert third.rows == rows and third.closure == closures
+
+
+def test_weak_closure_ordering_follows_the_graph_asked_about():
+    # the ordering is kept for the last graph only, so asking about g, then
+    # h, then g again must give g's ordering each time
+    rng = random.Random(4040)
+    for _ in range(40):
+        g = random_graph(rng.randint(5, 14), rng.choice([0.3, 0.5, 0.7]), rng)
+        h = random_graph(rng.randint(5, 14), rng.choice([0.3, 0.5, 0.7]), rng)
+        for x in (g, h, g):
+            ordering = weak_closure_ordering(x)
+            assert ordering == naive_weak_closure_ordering(x)
+            assert verify_closure_ordering(x, ordering)
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """The graphs whose count table gets built, in order, behind a fresh
+    memo of the same kind as the module's."""
+    builds = []
+    build = closure_module._count_table.__wrapped__
+
+    def counted(g):
+        builds.append(g)
+        return build(g)
+
+    monkeypatch.setattr(closure_module, "_count_table", last_graph_memo(counted))
+    return builds
+
+
+def split_with_twins(n, seed, twins):
+    # a split graph plus false twins of its last low-degree vertices, the
+    # shape of the benchmark's split-ds inputs
+    g = gen_random_split(n, seed)
+    edges = g.edges()
+    originals = [v for v in g.vertices() if 2 * g.degree(v) < g.n][-twins:]
+    for i, v in enumerate(originals):
+        edges += [(w, g.n + i) for w in g.neighbors(v)]
+    return Graph(g.n + len(originals), edges)
+
+
+def test_kernel_ds_builds_counts_for_input_and_final_graph(count_builds, tmp_path):
+    g = split_with_twins(80, 1, 4)
+    path = tmp_path / "in.ck"
+    path.write_text(write_instance(InstanceFile("ds", g, 3)))
+    trace = tmp_path / "trace.json"
+    assert cli.main(["kernel", "ds", str(path), "--out", str(tmp_path / "out.ck"),
+                     "--trace", str(trace)]) == 0
+    rules = json.loads(trace.read_text())["rules"]
+    assert rules and all(r["rule"] != "sunflower" for r in rules)
+    # the parameter report and the first round share the input's table;
+    # the last round's sunflower check and the bound report share the
+    # final graph's
+    assert [b.n for b in count_builds] == [g.n, g.n - len(rules)]
+
+
+def test_kernel_im_builds_counts_once_per_round(count_builds, tmp_path):
+    rng = random.Random(515)
+    g = with_twins(random_graph(12, 0.3, rng), rng)
+    reduced, trace = kernelize_im(ImInstance(g, 2))
+    assert trace and not isinstance(reduced, Decided)
+    rounds = len(trace) + 1
+    assert len(count_builds) == rounds
+    assert len({id(b) for b in count_builds}) == rounds
+    # through the CLI the parameter report shares the first round's table
+    count_builds.clear()
+    path = tmp_path / "in.ck"
+    path.write_text(write_instance(InstanceFile("im", g, 2)))
+    assert cli.main(["kernel", "im", str(path), "--out", str(tmp_path / "out.ck")]) == 0
+    assert len(count_builds) == rounds
 
 
 def test_vertex_closure_basics():

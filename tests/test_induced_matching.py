@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from closurekernels import induced_matching
+from closurekernels.closure import weak_closure_ordering
+from closurekernels.combinatorics import vclp_half_integral
 from closurekernels.graph import (
     Graph,
     complete_bipartite,
@@ -48,6 +51,43 @@ def test_lp_rule_quiet_on_small_graphs():
     # at positive budget; the threshold arithmetic itself is frozen above
     out, entry = lp_threshold_rule(ImInstance(complete_graph(6), 2))
     assert entry is None and out == ImInstance(complete_graph(6), 2)
+
+
+def lp_threshold_rule_reference(inst):
+    # the rule before its early return: always measures the weak closure
+    # and solves the LP at positive budget
+    g, k = inst.graph, inst.k
+    if k == 0:
+        return Decided(True, "empty matching suffices"), {"rule": "lp-threshold", "decided": "yes"}
+    wc = weak_closure_ordering(g).weak_closure
+    doubled = sum(vclp_half_integral(g).value2)
+    threshold = induced_matching.lp_yes_threshold(wc, k)
+    if doubled >= threshold:
+        entry = {"rule": "lp-threshold", "decided": "yes", "lp_doubled": doubled,
+                 "threshold": threshold}
+        return Decided(True, "cover LP optimum exceeds threshold"), entry
+    return inst, None
+
+
+@pytest.mark.parametrize("threshold, fires", [
+    (lp_yes_threshold, False),
+    # small and increasing in both arguments, like the real one, so that
+    # the LP comparison also decides some cases at positive budget
+    (lambda wc, k: 4 * wc + 3 * k, True),
+], ids=["paper", "small"])
+def test_lp_rule_early_return_matches_reference(monkeypatch, threshold, fires):
+    monkeypatch.setattr(induced_matching, "lp_yes_threshold", threshold)
+    rng = random.Random(4141)
+    early = fired = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 12), rng.choice([0.2, 0.5, 0.9]))
+        inst = ImInstance(g, rng.randint(0, 3))
+        got = lp_threshold_rule(inst)
+        assert got == lp_threshold_rule_reference(inst)
+        if inst.k > 0:
+            early += 2 * g.n < threshold(1, inst.k)
+            fired += got[1] is not None
+    assert early > 0 and (fired > 0) == fires
 
 
 def test_dense_posterior_on_clique():

@@ -107,6 +107,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance("p graph 2 1 0\ne 0 1\ne 1 0\n")
 
+    def test_duplicate_edge_points_at_its_tag(self):
+        with pytest.raises(ParseError) as err:
+            parse_instance("p graph 3 2 0\n   e 0 1\n   e 1 0")
+        assert str(err.value) == "line 3, column 4: duplicate edge (0, 1)"
+
+    @pytest.mark.parametrize("text, col", [
+        ("p graph 2 1 0\ne\u3000 0\tx\n", 6),     # ideographic space, tab
+        ("p graph 2 1 0\n\x1f e 0 \xa0y\n", 8),   # unit separator, no-break space
+    ])
+    def test_unicode_whitespace_separates_tokens(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.col) == (2, col)
+
     @pytest.mark.parametrize("text, line, col", [
         ("c a\nc b\np graph 3 5 0\ne 0 1\ne 1 2\n", 3, 11),   # m mismatch
         ("c a\n  p graph 2 2 0\ne 0 1\ne 1 2\n", 2, 11),      # labels > n
