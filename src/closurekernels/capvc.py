@@ -9,15 +9,14 @@ negative-capacity vertex can never take an edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closure import cover_class_report
-from .graph import Graph, delete_vertices
+from .graph import Graph, Record, delete_vertices
 from .reduction import exhaust
 
 
-@dataclass(frozen=True)
-class CapVcInstance:
+class CapVcInstance(Record):
+    file_kind = "capvc"
+    __slots__ = ("graph", "cap", "k")
     graph: Graph
     cap: tuple[int, ...]
     k: int

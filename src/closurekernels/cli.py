@@ -13,10 +13,13 @@ stderr line `internal error: <Type>: <message>`). Output files are
 overwritten in place, following symlinks. Witness lines name the input file's
 vertex labels.
 
-params and kernel load only the kernel modules: `verify`, `oracles` and
-`generators` (and through them `ramsey` and `subprocess`) are registered
-lazily and run their code on first attribute access, in solve, verify and
-generate.
+Each call loads only the modules its route runs. The problem modules
+(`capvc`, `convc`, `domset`, `induced_matching`), `oracles`, `verify` and
+`generators` are registered lazily and run their code on first attribute
+access. params loads no problem module; kernel and solve load the one of
+their problem (and what it imports), solve adds `oracles`, generate adds
+`generators`, and only verify loads `verify` (with `ramsey` and
+`subprocess`).
 """
 
 from __future__ import annotations
@@ -28,14 +31,9 @@ import os
 import random
 import stat
 import sys
-from dataclasses import replace
 from itertools import combinations
 
-from . import capvc, convc, domset, induced_matching
-from .capvc import CapVcInstance
 from .closure import closure_number, degeneracy, weak_closure_ordering
-from .convc import AnnotatedConVcInstance, CocInstance, attach_leaves
-from .domset import is_split
 from .graph import (
     Graph,
     clique_number,
@@ -72,7 +70,12 @@ def _lazy(name: str):
     return module
 
 
-# Never do `from .oracles import X` here: it loads the module at once.
+# Never do `from .convc import X` (or any of these) here: it loads the
+# module at once.
+capvc = _lazy("capvc")
+convc = _lazy("convc")
+domset = _lazy("domset")
+induced_matching = _lazy("induced_matching")
 generators = _lazy("generators")
 oracles = _lazy("oracles")
 verify_mod = _lazy("verify")
@@ -128,11 +131,11 @@ def _load_problem(args, inst: InstanceFile, problem_name: str):
         if problem_name == "is":
             problem = (problem[0], problem[1], args.k)
         else:
-            problem = replace(problem, k=args.k)
+            problem = problem.replace(k=args.k)
     if args.ell is not None:
         if problem_name != "coc":
             raise UsageError("--ell only applies to coc instances")
-        problem = replace(problem, ell=args.ell)
+        problem = problem.replace(ell=args.ell)
     return problem
 
 
@@ -170,11 +173,11 @@ def cmd_params(args) -> int:
 
 def _instance_facts(problem) -> dict:
     facts = {"n": problem.graph.n, "m": problem.graph.m, "k": problem.k}
-    if isinstance(problem, CapVcInstance):
+    if hasattr(problem, "cap"):
         facts["cap"] = list(problem.cap)
-    elif isinstance(problem, AnnotatedConVcInstance):
+    if hasattr(problem, "red"):
         facts["red"] = sorted(problem.red)
-    elif isinstance(problem, CocInstance):
+    if hasattr(problem, "ell"):
         facts["ell"] = problem.ell
     return facts
 
@@ -189,23 +192,25 @@ def cmd_kernel(args) -> int:
     mode = args.mode
     route = problem_name
     if problem_name == "convc":
-        annotated = isinstance(problem, AnnotatedConVcInstance)
+        annotated = isinstance(problem, convc.AnnotatedConVcInstance)
         route = "convc-red" if annotated else f"convc-{mode}"
-    if problem_name == "ds" and not is_split(problem.graph):
+    if problem_name == "ds" and not domset.is_split(problem.graph):
         raise UsageError("ds kernel needs a split graph")
-    # Built per call, so every function is looked up when it runs and a
-    # wrapper rebound over it (as perfbench/tracing.py does) sees the call.
+    # Only the chosen route's functions are looked up, so no other kernel
+    # module is loaded, and they are looked up per call, so a wrapper
+    # rebound over one (as perfbench/tracing.py does) sees the call.
     pipeline, bound_report = {
-        "capvc": (capvc.kernelize_capvc, capvc.size_bound_report),
-        "convc-gamma": (convc.kernelize_convc, convc.twinset_bound_report),
-        "convc-c": (lambda p: convc.kernelize_convc_annotated(
-            AnnotatedConVcInstance(p.graph, frozenset(), p.k)),
+        "capvc": lambda: (capvc.kernelize_capvc, capvc.size_bound_report),
+        "convc-gamma": lambda: (convc.kernelize_convc, convc.twinset_bound_report),
+        "convc-c": lambda: (lambda p: convc.kernelize_convc_annotated(
+            convc.AnnotatedConVcInstance(p.graph, frozenset(), p.k)),
             convc.annotated_bound_report),
-        "convc-red": (convc.kernelize_convc_annotated, convc.annotated_bound_report),
-        "coc": (convc.kernelize_coc, None),
-        "im": (induced_matching.kernelize_im, None),
-        "ds": (domset.kernelize_ds_split, domset.split_bound_report),
-    }[route]
+        "convc-red": lambda: (convc.kernelize_convc_annotated,
+                              convc.annotated_bound_report),
+        "coc": lambda: (convc.kernelize_coc, None),
+        "im": lambda: (induced_matching.kernelize_im, None),
+        "ds": lambda: (domset.kernelize_ds_split, domset.split_bound_report),
+    }[route]()
     # before the pipeline, so that the input's weak closure ordering is the
     # one its first round reuses, and the final graph's is still there for
     # the bound report
@@ -227,7 +232,7 @@ def cmd_kernel(args) -> int:
         # the closure-number route reduces in annotated form (its bound
         # applies to that form) and hands back a plain instance with pendant
         # leaves standing in for the red marks
-        reduced_problem = attach_leaves(out) if route == "convc-c" else out
+        reduced_problem = convc.attach_leaves(out) if route == "convc-c" else out
         bound = bound_report(out) if bound_report else None
 
     trace = {
@@ -284,8 +289,7 @@ def _validated_witness(problem_name: str, problem, witness, labels) -> list[str]
         and len(chosen) <= problem.k,
         "convc": lambda: is_vertex_cover(g, chosen) and is_connected_set(g, chosen)
         and len(chosen) <= problem.k
-        and (not isinstance(problem, AnnotatedConVcInstance)
-             or problem.red <= set(chosen)),
+        and getattr(problem, "red", frozenset()) <= set(chosen),
         "coc": lambda: is_connected_set(g, frozenset(chosen))
         and oracles.coc_components_ok(g, frozenset(chosen), problem.ell)
         and len(chosen) <= problem.k,
@@ -302,7 +306,7 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args, inst, problem_name)
     cap_n = args.oracle_cap
     try:
-        res = verify_mod.solve_exact(problem, max_n=cap_n, max_m=cap_n * (cap_n - 1) // 2)
+        res = oracles.solve_exact(problem, max_n=cap_n, max_m=cap_n * (cap_n - 1) // 2)
     except oracles.OracleCapExceeded as exc:
         raise UsageError(f"instance above the oracle size cap ({exc}); "
                          f"raise --oracle-cap to force the run") from exc

@@ -19,12 +19,11 @@ works on a copy of the table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import comb
 
-from .graph import Graph, induced_subgraph, last_graph_memo, maximal_cliques
+from .graph import Graph, Record, induced_subgraph, last_graph_memo, maximal_cliques
 
 
 def vertex_closure(g: Graph, v: int) -> int:
@@ -50,8 +49,7 @@ def closure_number(g: Graph) -> int:
                     for w in set().union(*[adj[c] for c in nu]) - nu if w > u), default=0)
 
 
-@dataclass(frozen=True)
-class ClosureOrdering:
+class ClosureOrdering(Record):
     """A peeling order with its per-step closure certificate.
 
     order[i] is the i-th peeled vertex; step_closure[i] is its per-vertex
@@ -59,6 +57,7 @@ class ClosureOrdering:
     1 + max(step_closure), or 1 for the empty graph.
     """
 
+    __slots__ = ("order", "step_closure", "weak_closure")
     order: tuple[int, ...]
     step_closure: tuple[int, ...]
     weak_closure: int

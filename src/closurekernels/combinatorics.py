@@ -5,10 +5,9 @@ All deterministic: iteration in vertex/index order, ties to the smallest id.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import factorial
 
-from .graph import Graph
+from .graph import Graph, Record
 
 
 def maximum_matching(g: Graph) -> frozenset[tuple[int, int]]:
@@ -120,14 +119,14 @@ def _bipartite_max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> 
     return match_right
 
 
-@dataclass(frozen=True)
-class VcLpSolution:
+class VcLpSolution(Record):
     """Optimal half-integral solution of the vertex cover LP.
 
     value2[v] is twice v's value (0, 1 or 2), so sum(value2) is exactly
     twice the objective.
     """
 
+    __slots__ = ("value2",)
     value2: tuple[int, ...]
 
     @property
@@ -184,11 +183,11 @@ def vclp_is_feasible(g: Graph, value2: tuple[int, ...]) -> bool:
     return all(value2[u] + value2[v] >= 2 for u, v in g.edges())
 
 
-@dataclass(frozen=True)
-class Sunflower:
+class Sunflower(Record):
     """Members (indices into the input family) with identical pairwise
     intersections equal to core."""
 
+    __slots__ = ("core", "members")
     core: frozenset[int]
     members: tuple[int, ...]
 

@@ -12,23 +12,23 @@ Two routes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .capvc import twin_classes
 from .closure import closure_number, cover_class_report
 from .graph import (
     Graph,
+    Record,
     connected_components,
     delete_vertices,
     is_clique,
-    is_connected_set,
 )
 from .reduction import Decided, exhaust
 
 
-@dataclass(frozen=True)
-class ConVcInstance:
+class ConVcInstance(Record):
+    file_kind = "convc"
+    __slots__ = ("graph", "k")
     graph: Graph
     k: int
 
@@ -37,8 +37,9 @@ class ConVcInstance:
             raise ValueError("budget must be nonnegative")
 
 
-@dataclass(frozen=True)
-class AnnotatedConVcInstance:
+class AnnotatedConVcInstance(Record):
+    file_kind = "convc"
+    __slots__ = ("graph", "red", "k")
     graph: Graph
     red: frozenset[int]
     k: int
@@ -216,8 +217,9 @@ def kernelize_convc_c(inst: ConVcInstance) -> tuple[ConVcInstance, list[dict]]:
 MAX_ELL = 4
 
 
-@dataclass(frozen=True)
-class CocInstance:
+class CocInstance(Record):
+    file_kind = "coc"
+    __slots__ = ("graph", "ell", "k")
     graph: Graph
     ell: int
     k: int
@@ -244,7 +246,17 @@ def small_component_rule(inst: CocInstance) -> tuple[CocInstance, dict | None]:
 
 
 def _connected_sets(g: Graph, r: int) -> list[tuple[int, ...]]:
-    return [t for t in combinations(g.vertices(), r) if is_connected_set(g, t)]
+    """Connected r-vertex sets (r >= 1) as sorted tuples, in lexicographic
+    order. Each set is grown from its smallest vertex through neighbours
+    numbered above it, so only connected sets are ever built."""
+    found: set[tuple[int, ...]] = set()
+    for s in g.vertices():
+        level = {frozenset((s,))}
+        for _ in range(r - 1):
+            level = {grown | {w} for grown in level for v in grown
+                     for w in g.neighbors(v) if w > s and w not in grown}
+        found.update(tuple(sorted(t)) for t in level)
+    return sorted(found)
 
 
 def _twin_signature(g: Graph, t: tuple[int, ...]):

@@ -20,12 +20,11 @@ is a maximum clique, so the kernel does not try it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .closure import ClosureEngine, ClosureOrdering, weak_closure_ordering
 from .combinatorics import find_sunflower, sunflower_guarantee
 from .graph import (
     Graph,
+    Record,
     clique_number,
     contains_biclique,
     delete_vertices,
@@ -36,8 +35,9 @@ from .graph import (
 from .reduction import Decided, exhaust
 
 
-@dataclass(frozen=True)
-class DsInstance:
+class DsInstance(Record):
+    file_kind = "ds"
+    __slots__ = ("graph", "k")
     graph: Graph
     k: int
 
@@ -46,8 +46,8 @@ class DsInstance:
             raise ValueError("budget must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(Record):
+    __slots__ = ("clique", "independent")
     clique: tuple[int, ...]
     independent: tuple[int, ...]
 

@@ -14,6 +14,68 @@ from typing import Callable, Iterable, TypeVar
 T = TypeVar("T")
 
 
+class Record:
+    """Immutable value object whose fields are the subclass's `__slots__`.
+
+    Fields without an argument take their value from the class's `_defaults`
+    table; `__post_init__` then validates. Records are equal when they have
+    the same class and equal fields, and hash by their fields.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields")
+        put = object.__setattr__
+        for name, value in zip(names, args):
+            put(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                put(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                put(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__} needs field {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} has no field {min(kwargs)!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, validated again."""
+        values = [changes.pop(name, getattr(self, name)) for name in self.__slots__]
+        return type(self)(*values, **changes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1. No loops, no multi-edges."""
 

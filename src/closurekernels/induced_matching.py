@@ -10,17 +10,16 @@ The reductions, in the order the kernel loop tries them:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .capvc import twin_classes
 from .closure import weak_closure_ordering
 from .combinatorics import maximum_matching, vclp_half_integral
-from .graph import Graph, delete_vertices, induced_subgraph
+from .graph import Graph, Record, delete_vertices, induced_subgraph
 from .reduction import Decided, exhaust
 
 
-@dataclass(frozen=True)
-class ImInstance:
+class ImInstance(Record):
+    file_kind = "im"
+    __slots__ = ("graph", "k")
     graph: Graph
     k: int
 

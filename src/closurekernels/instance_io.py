@@ -19,13 +19,8 @@ labels stay in range.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .capvc import CapVcInstance
-from .convc import AnnotatedConVcInstance, CocInstance, ConVcInstance
-from .domset import DsInstance
-from .graph import Graph
-from .induced_matching import ImInstance
+from .graph import Graph, Record
 
 KINDS = ("graph", "capvc", "convc", "coc", "im", "ds", "is")
 
@@ -38,16 +33,17 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class InstanceFile:
+class InstanceFile(Record):
+    __slots__ = ("kind", "graph", "k", "ell", "cap", "red", "parts", "labels")
     kind: str
     graph: Graph
     k: int
-    ell: int | None = None
-    cap: tuple[int, ...] | None = None
-    red: tuple[int, ...] = ()
-    parts: tuple[int, ...] | None = None
-    labels: tuple[int, ...] = field(default=())
+    ell: int | None
+    cap: tuple[int, ...] | None
+    red: tuple[int, ...]
+    parts: tuple[int, ...] | None
+    labels: tuple[int, ...]
+    _defaults = {"ell": None, "cap": None, "red": (), "parts": None, "labels": ()}
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -228,49 +224,48 @@ def to_problem(inst: InstanceFile):
     """The typed problem instance for a parsed file.
 
     graph files map to the Graph itself; is files map to (Graph, parts, k)
-    with parts grouped from the part vector.
+    with parts grouped from the part vector. Only the module of the kind
+    built is imported.
     """
+    g, k = inst.graph, inst.k
     if inst.kind == "graph":
-        return inst.graph
+        return g
     if inst.kind == "capvc":
-        return CapVcInstance(inst.graph, inst.cap or (0,) * inst.graph.n,
-                             inst.k)
+        from .capvc import CapVcInstance
+        return CapVcInstance(g, inst.cap or (0,) * g.n, k)
     if inst.kind == "convc":
+        from .convc import AnnotatedConVcInstance, ConVcInstance
         if inst.red:
-            return AnnotatedConVcInstance(inst.graph, frozenset(inst.red),
-                                          inst.k)
-        return ConVcInstance(inst.graph, inst.k)
+            return AnnotatedConVcInstance(g, frozenset(inst.red), k)
+        return ConVcInstance(g, k)
     if inst.kind == "coc":
-        return CocInstance(inst.graph, inst.ell, inst.k)
+        from .convc import CocInstance
+        return CocInstance(g, inst.ell, k)
     if inst.kind == "im":
-        return ImInstance(inst.graph, inst.k)
+        from .induced_matching import ImInstance
+        return ImInstance(g, k)
     if inst.kind == "ds":
-        return DsInstance(inst.graph, inst.k)
+        from .domset import DsInstance
+        return DsInstance(g, k)
     groups: dict[int, list[int]] = {}
-    for v in inst.graph.vertices():
+    for v in g.vertices():
         groups.setdefault(inst.parts[v], []).append(v)
     parts = [tuple(groups[i]) for i in sorted(groups)]
-    return inst.graph, parts, inst.k
+    return g, parts, k
 
 
 def from_problem(problem, kind: str | None = None) -> InstanceFile:
-    """Wrap a typed problem instance back into a writable file structure."""
-    if isinstance(problem, CapVcInstance):
-        return InstanceFile("capvc", problem.graph, problem.k,
-                            cap=problem.cap)
-    if isinstance(problem, AnnotatedConVcInstance):
-        return InstanceFile("convc", problem.graph, problem.k,
-                            red=tuple(sorted(problem.red)))
-    if isinstance(problem, ConVcInstance):
-        return InstanceFile("convc", problem.graph, problem.k)
-    if isinstance(problem, CocInstance):
-        return InstanceFile("coc", problem.graph, problem.k,
-                            ell=problem.ell)
-    if isinstance(problem, ImInstance):
-        return InstanceFile("im", problem.graph, problem.k)
-    if isinstance(problem, DsInstance):
-        return InstanceFile("ds", problem.graph, problem.k)
+    """Wrap a typed problem instance back into a writable file structure.
+
+    A problem class names its file kind in `file_kind`; `kind` names the
+    kind a bare Graph is wrapped as.
+    """
     if isinstance(problem, Graph):
         return InstanceFile(kind or "graph", problem, 0)
-    raise TypeError(f"cannot serialize {type(problem).__name__}")
-
+    file_kind = getattr(problem, "file_kind", None)
+    if file_kind is None:
+        raise TypeError(f"cannot serialize {type(problem).__name__}")
+    return InstanceFile(file_kind, problem.graph, problem.k,
+                        ell=getattr(problem, "ell", None),
+                        cap=getattr(problem, "cap", None),
+                        red=tuple(sorted(getattr(problem, "red", ()))))

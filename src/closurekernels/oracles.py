@@ -8,12 +8,12 @@ lexicographic order by increasing size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable
 
 from .graph import (
     Graph,
+    Record,
     is_clique,
     is_connected_set,
     is_independent_set,
@@ -41,11 +41,16 @@ def _check_cap(g: Graph, max_n: int | None, max_m: int | None) -> None:
         )
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
+    __slots__ = ("answer", "witness", "stats")
     answer: bool
-    witness: object = None
-    stats: dict = field(default_factory=dict)
+    witness: object
+    stats: dict
+    _defaults = {"witness": None, "stats": None}
+
+    def __post_init__(self):
+        if self.stats is None:
+            object.__setattr__(self, "stats", {})
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +435,34 @@ def solve_exact_set_cover(universe_size: int, family: list[frozenset[int]],
         if ok and len(union) == universe_size:
             return OracleResult(True, tuple(pick), {"combinations": count})
     return OracleResult(False, stats={"combinations": count})
+
+
+# ---------------------------------------------------------------------------
+# dispatch by problem
+
+def solve_exact(problem, max_n: int, max_m: int) -> OracleResult:
+    """The one oracle dispatch: the brute-force answer for a typed instance,
+    chosen by its class's `file_kind`. `is` comes as `to_problem`'s
+    (graph, parts, k); several parts ask for one vertex per part. Oracles
+    are looked up at call time, so wrappers rebound over them
+    (perfbench/tracing.py) see the calls."""
+    if isinstance(problem, tuple):
+        g, parts, k = problem
+        if len(parts) <= 1:
+            return solve_is_exact(g, k, max_n=max_n, max_m=max_m)
+        return solve_multicolored_is_exact(g, parts, max_n=max_n, max_m=max_m)
+    kind = getattr(problem, "file_kind", None)
+    g, k = problem.graph, problem.k
+    if kind == "capvc":
+        return solve_capvc_exact(g, problem.cap, k, max_n=max_n, max_m=max_m)
+    if kind == "convc":
+        # an annotated instance's red vertices must be in the cover
+        red = getattr(problem, "red", frozenset())
+        return solve_convc_exact(g, k, max_n=max_n, max_m=max_m, required=red)
+    if kind == "coc":
+        return solve_coc_exact(g, problem.ell, k, max_n=max_n, max_m=max_m)
+    if kind == "im":
+        return solve_im_exact(g, k, max_n=max_n, max_m=max_m)
+    if kind == "ds":
+        return solve_ds_exact(g, k, max_n=max_n, max_m=max_m)
+    raise TypeError(f"no oracle for {type(problem).__name__}")

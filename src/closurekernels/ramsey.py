@@ -10,20 +10,19 @@ back to exact subset search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .closure import weak_closure_ordering
-from .graph import Graph, induced_subgraph, is_clique, is_independent_set
+from .graph import Graph, Record, induced_subgraph, is_clique, is_independent_set
 
 # subset-search budget: combinations(n, size) above this are not enumerated
 _BRUTE_CAP = 250_000
 
 
-@dataclass(frozen=True)
-class RamseyWitness:
+class RamseyWitness(Record):
+    __slots__ = ("kind", "vertices")
     kind: str
     vertices: tuple[int, ...]
 

@@ -7,14 +7,15 @@ the instance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .graph import Record
 
-@dataclass(frozen=True)
-class Decided:
+
+class Decided(Record):
     """A rule decided the instance outright."""
 
+    __slots__ = ("answer", "reason")
     answer: bool
     reason: str
 

@@ -18,7 +18,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -66,7 +65,7 @@ from .generators import (
     gen_random_split,
     gen_random_weakly_closed,
 )
-from .graph import Graph, complete_graph, cycle_graph, delete_vertices, path_graph
+from .graph import Graph, Record, complete_graph, cycle_graph, delete_vertices, path_graph
 from .induced_matching import (
     ImInstance,
     dense_posterior_rule,
@@ -75,30 +74,21 @@ from .induced_matching import (
     lp_threshold_rule,
 )
 from .instance_io import InstanceFile, from_problem, write_instance
-from .oracles import (
-    OracleResult,
-    solve_capvc_exact,
-    solve_coc_exact,
-    solve_convc_exact,
-    solve_ds_exact,
-    solve_exact_set_cover,
-    solve_im_exact,
-    solve_is_exact,
-    solve_multicolored_is_exact,
-)
+from .oracles import solve_capvc_exact, solve_exact, solve_exact_set_cover, solve_is_exact
 from .ramsey import clique_or_independent_set, r_gamma_bound, validate_witness
 from .reduction import Decided
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     """Outcome of one suite: pass/fail, how many checks ran, what broke."""
 
+    __slots__ = ("name", "passed", "checked", "failures", "artifacts")
     name: str
     passed: bool
     checked: int
-    failures: tuple[str, ...] = ()
-    artifacts: tuple[InstanceFile, ...] = ()
+    failures: tuple[str, ...]
+    artifacts: tuple[InstanceFile, ...]
+    _defaults = {"failures": (), "artifacts": ()}
 
     def summary(self) -> str:
         word = "ok" if self.passed else "FAIL"
@@ -137,32 +127,6 @@ class _Recorder:
     def result(self) -> SuiteResult:
         return SuiteResult(self.name, not self.failures, self.checked,
                            tuple(self.failures), tuple(self.artifacts))
-
-
-def solve_exact(problem, max_n: int, max_m: int) -> OracleResult:
-    """The one oracle dispatch: the brute-force answer for a typed instance.
-    `is` comes as `to_problem`'s (graph, parts, k); several parts ask for one
-    vertex per part. Oracles are looked up at call time, so wrappers rebound
-    over them (perfbench/tracing.py) see the calls."""
-    if isinstance(problem, tuple):
-        g, parts, k = problem
-        if len(parts) <= 1:
-            return solve_is_exact(g, k, max_n=max_n, max_m=max_m)
-        return solve_multicolored_is_exact(g, parts, max_n=max_n, max_m=max_m)
-    g, k = problem.graph, problem.k
-    if isinstance(problem, CapVcInstance):
-        return solve_capvc_exact(g, problem.cap, k, max_n=max_n, max_m=max_m)
-    if isinstance(problem, ConVcInstance):
-        return solve_convc_exact(g, k, max_n=max_n, max_m=max_m)
-    if isinstance(problem, AnnotatedConVcInstance):
-        return solve_convc_exact(g, k, max_n=max_n, max_m=max_m, required=problem.red)
-    if isinstance(problem, CocInstance):
-        return solve_coc_exact(g, problem.ell, k, max_n=max_n, max_m=max_m)
-    if isinstance(problem, ImInstance):
-        return solve_im_exact(g, k, max_n=max_n, max_m=max_m)
-    if isinstance(problem, DsInstance):
-        return solve_ds_exact(g, k, max_n=max_n, max_m=max_m)
-    raise TypeError(f"no oracle for {type(problem).__name__}")
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -248,8 +212,8 @@ def _answer(inst) -> bool:
     return solve_exact(inst, max_n=12, max_m=60).answer
 
 
-@dataclass(frozen=True)
-class RuleCase:
+class RuleCase(Record):
+    __slots__ = ("name", "sample", "step", "pipeline")
     name: str
     sample: Callable[[random.Random], object]
     step: Callable[[object], tuple]
@@ -671,30 +635,46 @@ class _CommandFailed(Exception):
     """A child `closurekernels` process exited with a nonzero code."""
 
 
-def _kernel_command_bytes(workdir: str, hashseed: str) -> tuple[bytes, bytes]:
+def _kernel_command_bytes(workdir: str, hashseeds: tuple[str, ...]) -> list[tuple[bytes, bytes]]:
+    """The reduced file and trace bytes of the kernel command on
+    workdir/in.ck, once per hash seed. The children run side by side; when
+    one fails, the others are killed and reaped before _CommandFailed is
+    raised."""
     src = os.path.join(workdir, "in.ck")
-    out = os.path.join(workdir, f"out-{hashseed}.ck")
-    trace = os.path.join(workdir, f"trace-{hashseed}.json")
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
-    proc = subprocess.run(
-        [sys.executable, "-m", "closurekernels", "kernel", src,
-         "--out", out, "--trace", trace],
-        capture_output=True, env=env)
-    if proc.returncode != 0:
-        lines = proc.stderr.decode(errors="replace").strip().splitlines()
-        raise _CommandFailed(f"kernel command exited with code {proc.returncode}: "
-                             + (lines[-1] if lines else "no error output"))
-    with open(out, "rb") as fh:
-        reduced = fh.read()
-    with open(trace, "rb") as fh:
-        tr = fh.read()
-    return reduced, tr
+    paths = [(os.path.join(workdir, f"out-{seed}.ck"), os.path.join(workdir, f"trace-{seed}.json"))
+             for seed in hashseeds]
+    procs: list[subprocess.Popen] = []
+    try:
+        for seed, (out, trace) in zip(hashseeds, paths):
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "closurekernels", "kernel", src,
+                 "--out", out, "--trace", trace],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONHASHSEED=seed)))
+        for proc in procs:
+            _, err = proc.communicate()
+            if proc.returncode != 0:
+                lines = err.decode(errors="replace").strip().splitlines()
+                raise _CommandFailed(f"kernel command exited with code {proc.returncode}: "
+                                     + (lines[-1] if lines else "no error output"))
+    finally:
+        for proc in procs:
+            if proc.returncode is None:
+                proc.kill()
+                proc.communicate()
+    results = []
+    for out, trace in paths:
+        with open(out, "rb") as fh:
+            reduced = fh.read()
+        with open(trace, "rb") as fh:
+            results.append((reduced, fh.read()))
+    return results
 
 
 def suite_determinism(seed: int = 0) -> SuiteResult:
     """Byte-identical generator output and kernel command output across
-    repeat runs (the command twice in fresh interpreters with different
-    hash seeds)."""
+    repeat runs (the command twice, side by side, in fresh interpreters
+    with different hash seeds)."""
     rec = _Recorder("determinism")
 
     pairs = [
@@ -726,8 +706,7 @@ def suite_determinism(seed: int = 0) -> SuiteResult:
         with open(os.path.join(workdir, "in.ck"), "w") as fh:
             fh.write(text)
         try:
-            first = _kernel_command_bytes(workdir, "1")
-            second = _kernel_command_bytes(workdir, "2")
+            first, second = _kernel_command_bytes(workdir, ("1", "2"))
         except _CommandFailed as exc:
             rec.fail(str(exc))
             return rec.result()

@@ -17,6 +17,7 @@ from closurekernels.oracles import (
     is_induced_matching,
     solve_capvc_exact,
 )
+from closurekernels import oracles as oracles_mod
 from closurekernels import verify as verify_mod
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -36,6 +37,10 @@ def write(tmp_path, name, text):
 
 C4_GRAPH = "p graph 4 4 0\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
 C4_CONVC = "p convc 4 4 3\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
+C4_IM = "p im 4 4 1\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
+C4_CAPVC = "p capvc 4 4 2\ncap 0 2\ncap 1 2\ncap 2 2\ncap 3 2\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
+# a triangle 0-1-2 with independent vertices 3 (on 0, 1) and 4 (on 2)
+SPLIT_DS = "p ds 5 6 2\ne 0 1\ne 0 2\ne 1 2\ne 0 3\ne 1 3\ne 2 4\n"
 
 
 class TestParams:
@@ -295,11 +300,11 @@ class TestVerifyCommand:
 
     def test_failed_kernel_child_is_a_suite_failure(self, capsys, tmp_path,
                                                     monkeypatch):
-        def child_fails(argv, **kwargs):
-            err = b"Traceback (most recent call last):\nModuleNotFoundError: boom\n"
-            return subprocess.CompletedProcess(argv, 1, b"", err)
-
-        monkeypatch.setattr(verify_mod.subprocess, "run", child_fails)
+        child = tmp_path / "python"
+        child.write_text("#!/bin/sh\necho 'Traceback (most recent call last):' >&2\n"
+                         "echo 'ModuleNotFoundError: boom' >&2\nexit 1\n")
+        child.chmod(0o755)
+        monkeypatch.setattr(verify_mod.sys, "executable", str(child))
         code, out, err = run(capsys, "verify", "--suite", "determinism",
                              "--dump-dir", str(tmp_path / "dumps"))
         assert code == 1 and err == ""
@@ -514,7 +519,7 @@ class TestEntryPoints:
         assert "Traceback" not in err
 
     def test_witness_failing_recheck_is_internal(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(verify_mod, "solve_exact",
+        monkeypatch.setattr(oracles_mod, "solve_exact",
                             lambda *a, **kw: OracleResult(True, frozenset()))
         code, out, err = run(capsys, "solve", "convc", write(tmp_path, "a.ck", C4_CONVC))
         assert code == 4 and out == ""
@@ -557,6 +562,41 @@ print("subprocess", "subprocess" in sys.modules)
         assert out.splitlines()[-5:] == [
             "verify _LazyModule", "oracles _LazyModule", "generators _LazyModule",
             "ramsey False", "subprocess False"]
+
+    # route: (input file, command before its path, modules that must not run)
+    ROUTES = {
+        "params": (C4_GRAPH, ["params"],
+                   ("capvc", "convc", "domset", "induced_matching", "combinatorics")),
+        "kernel-im": (C4_IM, ["kernel", "im"], ("convc", "domset")),
+        "kernel-capvc": (C4_CAPVC, ["kernel", "capvc"],
+                         ("convc", "domset", "induced_matching", "combinatorics")),
+        "kernel-ds": (SPLIT_DS, ["kernel", "ds"], ("capvc", "convc", "induced_matching")),
+        "solve-im": (C4_IM, ["solve", "im"], ("verify", "ramsey")),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_each_route_loads_only_its_modules(self, tmp_path, route):
+        """Each call in a fresh interpreter; verify, generators, ramsey,
+        subprocess and dataclasses never load on these routes."""
+        text, command, unloaded = self.ROUTES[route]
+        argv = [*command, write(tmp_path, "a.ck", text)]
+        out = run_fresh(f"""
+import sys
+from closurekernels import cli
+assert cli.main({argv!r}) == 0
+for name in ("capvc", "convc", "domset", "induced_matching", "combinatorics",
+             "oracles", "verify", "generators", "ramsey"):
+    module = sys.modules.get("closurekernels." + name)
+    print(name, "absent" if module is None else type(module).__name__)
+print("dataclasses", "dataclasses" in sys.modules)
+print("subprocess", "subprocess" in sys.modules)
+""")
+        state = dict(line.split() for line in out.splitlines()[-11:])
+        for name in unloaded:
+            assert state[name] in ("absent", "_LazyModule"), (name, state)
+        assert state["dataclasses"] == "False" and state["subprocess"] == "False"
+        assert state["verify"] == "_LazyModule" and state["ramsey"] == "absent"
+        assert state["generators"] == "_LazyModule"
 
     def test_submodule_import_after_cli_is_usable(self):
         out = run_fresh("import closurekernels.cli\nimport closurekernels.verify\n"

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +8,7 @@ from closurekernels.convc import (
     CocInstance,
     ConVcInstance,
     Decided,
+    _connected_sets,
     attach_leaves,
     component_twin_rule,
     connected_set_twin_classes,
@@ -25,6 +27,7 @@ from closurekernels.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_connected_set,
     path_graph,
     star_graph,
 )
@@ -304,6 +307,20 @@ def test_connected_set_twin_classes_pairs():
     g = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
     classes = connected_set_twin_classes(g, 2)
     assert [(1, 2), (3, 4)] in classes
+
+
+def test_connected_sets_match_filtered_combinations():
+    # the old form, kept as the reference: every r-subset, filtered
+    rng = random.Random(53)
+    sizes = set()
+    for _ in range(300):
+        n = rng.randint(0, 11)
+        g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.6]))
+        for r in range(1, 4):
+            want = [t for t in combinations(g.vertices(), r) if is_connected_set(g, t)]
+            assert _connected_sets(g, r) == want, (n, g.edges(), r)
+            sizes.add((r, len(want) > 0))
+    assert sizes == {(r, found) for r in range(1, 4) for found in (True, False)}
 
 
 def test_component_twin_rule_star():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,10 @@ from closurekernels.graph import (
     path_graph,
     star_graph,
 )
+from closurekernels.convc import CocInstance, ConVcInstance
+from closurekernels.induced_matching import ImInstance
+from closurekernels.instance_io import InstanceFile
+from closurekernels.oracles import OracleResult
 
 
 def test_build_and_counts():
@@ -124,3 +130,49 @@ def test_star_and_bipartite_builders():
     assert s.n == 5 and s.m == 4 and s.degree(0) == 4
     b = complete_bipartite(2, 5)
     assert b.n == 7 and b.m == 10
+
+
+def test_record_value_semantics():
+    g = path_graph(4)
+    assert ConVcInstance(g, 3) != ImInstance(g, 3)
+    assert ConVcInstance(g, 3) == ConVcInstance(path_graph(4), 3)
+    assert hash(ImInstance(g, 3)) == hash(ImInstance(path_graph(4), 3))
+    assert len({ImInstance(g, 3), ImInstance(g, 3), ImInstance(g, 2)}) == 2
+    assert repr(ImInstance(g, 3)) == "ImInstance(graph=Graph(n=4, m=3), k=3)"
+    assert repr(OracleResult(True)) == "OracleResult(answer=True, witness=None, stats={})"
+    assert pickle.loads(pickle.dumps(CocInstance(g, 2, 1))) == CocInstance(g, 2, 1)
+
+
+def test_record_is_immutable():
+    inst = ImInstance(path_graph(4), 3)
+    with pytest.raises(AttributeError):
+        inst.k = 1
+    with pytest.raises(AttributeError):
+        del inst.k
+    with pytest.raises(AttributeError):
+        inst.extra = 1
+    assert inst.k == 3
+
+
+def test_record_defaults_and_fields():
+    one, two = OracleResult(True), OracleResult(True)
+    one.stats["nodes"] = 1
+    assert two.stats == {} and one.witness is None
+    assert InstanceFile("graph", path_graph(2), 0).labels == (0, 1)
+    assert ConVcInstance(k=2, graph=path_graph(2)) == ConVcInstance(path_graph(2), 2)
+    with pytest.raises(TypeError):
+        ConVcInstance(path_graph(2))
+    with pytest.raises(TypeError):
+        ConVcInstance(path_graph(2), 2, 1)
+    with pytest.raises(TypeError):
+        ConVcInstance(path_graph(2), 2, budget=1)
+
+
+def test_record_replace_validates_again():
+    inst = CocInstance(path_graph(5), 2, 1)
+    assert inst.replace(k=3) == CocInstance(path_graph(5), 2, 3)
+    assert inst.replace(ell=1).ell == 1 and inst.ell == 2
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        inst.replace(k=-1)
+    with pytest.raises(TypeError):
+        inst.replace(budget=1)

@@ -1,8 +1,12 @@
 """The cross-checking suites themselves: green on the real rules, red when a
 deliberately unsound rule is injected."""
 
+import subprocess
+import time
+
 import pytest
 
+from closurekernels import verify as verify_mod
 from closurekernels.convc import ConVcInstance
 from closurekernels.graph import delete_vertices
 from closurekernels.verify import (
@@ -76,6 +80,55 @@ def test_vclp_exactness_passes():
 def test_determinism_passes():
     r = suite_determinism(seed=11)
     assert r.passed and r.checked == 7
+
+
+# Stands in for the interpreter. The hash-seed-2 child announces itself and
+# hangs; the hash-seed-1 child fails, but only once it has seen the other
+# start, so a run that starts the children one after the other fails with
+# a different message.
+_FAKE_INTERPRETER = """#!/bin/sh
+if [ "$PYTHONHASHSEED" = 2 ]; then
+    touch "$MARKS/second-started"
+    exec sleep 30
+fi
+i=0
+while [ ! -e "$MARKS/second-started" ] && [ $i -lt 100 ]; do
+    sleep 0.1
+    i=$((i + 1))
+done
+[ -e "$MARKS/second-started" ] || { echo "children ran one after the other" >&2; exit 5; }
+echo "Traceback (most recent call last):" >&2
+echo "RuntimeError: boom" >&2
+exit 3
+"""
+
+
+def test_determinism_failing_child_kills_its_sibling(tmp_path, monkeypatch):
+    fake = tmp_path / "python"
+    fake.write_text(_FAKE_INTERPRETER)
+    fake.chmod(0o755)
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setenv("MARKS", str(tmp_path))
+    monkeypatch.setattr(verify_mod.sys, "executable", str(fake))
+    monkeypatch.setattr(verify_mod.subprocess, "Popen", Recorded)
+    t0 = time.monotonic()
+    try:
+        r = suite_determinism(seed=11)
+    finally:
+        leftover = [p for p in started if p.returncode is None]
+        for proc in leftover:
+            proc.kill()
+            proc.wait()
+    assert not leftover
+    assert len(started) == 2 and time.monotonic() - t0 < 20
+    assert not r.passed
+    assert r.failures == ("kernel command exited with code 3: RuntimeError: boom",)
 
 
 def _unsound_rule(inst):
