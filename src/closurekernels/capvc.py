@@ -10,11 +10,11 @@ negative-capacity vertex can never take an edge.
 from __future__ import annotations
 
 from .closure import cover_class_report
-from .graph import Graph, Record, delete_vertices
-from .reduction import exhaust
+from .graph import Graph
+from .reduction import Instance, exhaust
 
 
-class CapVcInstance(Record):
+class CapVcInstance(Instance):
     file_kind = "capvc"
     __slots__ = ("graph", "cap", "k")
     graph: Graph
@@ -24,8 +24,11 @@ class CapVcInstance(Record):
     def __post_init__(self):
         if len(self.cap) != self.graph.n:
             raise ValueError("capacity vector length must equal vertex count")
-        if self.k < 0:
-            raise ValueError("budget must be nonnegative")
+        super().__post_init__()
+
+    def _renumber(self, changes, kept):
+        cap = changes.get("cap", self.cap)
+        return {**changes, "cap": tuple(cap[v] for v in kept)}
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:
@@ -53,13 +56,7 @@ def twin_crown_rule(inst: CapVcInstance) -> tuple[CapVcInstance, dict | None]:
         if len(shared) > k + 2:
             continue
         victim = min(cls, key=lambda v: (cap[v], v))
-        new_graph, idmap = delete_vertices(g, [victim])
-        new_cap = []
-        for new_id, old_id in enumerate(idmap):
-            c = cap[old_id]
-            if old_id in shared:
-                c -= 1
-            new_cap.append(c)
+        new_cap = tuple(c - 1 if v in shared else c for v, c in enumerate(cap))
         entry = {
             "rule": "twin-class",
             "removed": victim,
@@ -67,7 +64,7 @@ def twin_crown_rule(inst: CapVcInstance) -> tuple[CapVcInstance, dict | None]:
             "neighborhood": sorted(shared),
             "decremented": sorted(shared),
         }
-        return CapVcInstance(new_graph, tuple(new_cap), k), entry
+        return inst.without([victim], cap=new_cap), entry
     return inst, None
 
 
@@ -86,10 +83,8 @@ def size_bound_report(inst: CapVcInstance) -> dict:
 def replay_capvc_trace(inst: CapVcInstance, trace: list[dict]) -> CapVcInstance:
     """Re-apply a recorded trace; used to check traces are self-contained."""
     for entry in trace:
-        g, cap = inst.graph, list(inst.cap)
-        victim = entry["removed"]
+        cap = list(inst.cap)
         for v in entry["decremented"]:
             cap[v] -= 1
-        new_graph, idmap = delete_vertices(g, [victim])
-        inst = CapVcInstance(new_graph, tuple(cap[old] for old in idmap), inst.k)
+        inst = inst.without([entry["removed"]], cap=tuple(cap))
     return inst

@@ -128,10 +128,7 @@ def _load_problem(args, inst: InstanceFile, problem_name: str):
                          f"{problem_name!r}")
     problem = to_problem(inst)
     if args.k is not None:
-        if problem_name == "is":
-            problem = (problem[0], problem[1], args.k)
-        else:
-            problem = problem.replace(k=args.k)
+        problem = problem.replace(k=args.k)
     if args.ell is not None:
         if problem_name != "coc":
             raise UsageError("--ell only applies to coc instances")
@@ -202,9 +199,7 @@ def cmd_kernel(args) -> int:
     pipeline, bound_report = {
         "capvc": lambda: (capvc.kernelize_capvc, capvc.size_bound_report),
         "convc-gamma": lambda: (convc.kernelize_convc, convc.twinset_bound_report),
-        "convc-c": lambda: (lambda p: convc.kernelize_convc_annotated(
-            convc.AnnotatedConVcInstance(p.graph, frozenset(), p.k)),
-            convc.annotated_bound_report),
+        "convc-c": lambda: (convc.kernelize_convc_c, convc.annotated_bound_report),
         "convc-red": lambda: (convc.kernelize_convc_annotated,
                               convc.annotated_bound_report),
         "coc": lambda: (convc.kernelize_coc, None),
@@ -274,16 +269,15 @@ def _validated_witness(problem_name: str, problem, witness, labels) -> list[str]
         if not oracles.is_induced_matching(problem.graph, edges) or len(edges) < problem.k:
             raise RuntimeError("witness failed validation")
         return [f"e {labels[u]} {labels[v]}" for u, v in edges]
-    if problem_name == "is" and isinstance(problem, tuple):
-        g, parts, k = problem
-        chosen = sorted(witness)
+    g = problem.graph
+    chosen = sorted(witness)
+    if problem_name == "is":
+        parts = problem.groups()
         colored = len(parts) > 1
-        enough = len(chosen) == len(parts) if colored else len(chosen) >= k
+        enough = len(chosen) == len(parts) if colored else len(chosen) >= problem.k
         if not (is_independent_set(g, chosen) and enough):
             raise RuntimeError("witness failed validation")
         return [f"v {labels[v]}" for v in chosen]
-    g = problem.graph
-    chosen = sorted(witness)
     ok = {
         "capvc": lambda: oracles.capvc_assignment_feasible(g, frozenset(chosen), problem.cap)
         and len(chosen) <= problem.k,
@@ -370,14 +364,13 @@ def _random_triples(universe: int, count: int, seed: int) -> list[frozenset[int]
 def cmd_generate(args) -> int:
     family = args.family
     if family == "split":
-        out = from_problem(generators.gen_random_split(args.n, args.seed), kind="graph")
+        out = from_problem(generators.gen_random_split(args.n, args.seed))
     elif family == "bipartite":
-        out = from_problem(generators.gen_random_bipartite(args.n, args.seed), kind="graph")
+        out = from_problem(generators.gen_random_bipartite(args.n, args.seed))
     elif family == "weakly-closed":
-        g = generators.gen_random_weakly_closed(args.n, args.gamma, args.seed)
-        out = from_problem(g, kind="graph")
+        out = from_problem(generators.gen_random_weakly_closed(args.n, args.gamma, args.seed))
     elif family == "k-ab":
-        out = from_problem(generators.gen_k_ab(args.a, args.b), kind="graph")
+        out = from_problem(generators.gen_k_ab(args.a, args.b))
     elif family == "capvc-hard":
         count = args.sets if args.sets is not None else 2 * args.k + 1
         fam = _random_triples(3 * args.k, count, args.seed)

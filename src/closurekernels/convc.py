@@ -16,28 +16,18 @@ from itertools import permutations
 
 from .capvc import twin_classes
 from .closure import closure_number, cover_class_report
-from .graph import (
-    Graph,
-    Record,
-    connected_components,
-    delete_vertices,
-    is_clique,
-)
-from .reduction import Decided, exhaust
+from .graph import Graph, connected_components, is_clique
+from .reduction import Decided, Instance, exhaust
 
 
-class ConVcInstance(Record):
+class ConVcInstance(Instance):
     file_kind = "convc"
     __slots__ = ("graph", "k")
     graph: Graph
     k: int
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("budget must be nonnegative")
 
-
-class AnnotatedConVcInstance(Record):
+class AnnotatedConVcInstance(Instance):
     file_kind = "convc"
     __slots__ = ("graph", "red", "k")
     graph: Graph
@@ -45,11 +35,15 @@ class AnnotatedConVcInstance(Record):
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("budget must be nonnegative")
+        super().__post_init__()
         for v in self.red:
             if not (0 <= v < self.graph.n):
                 raise ValueError(f"red vertex {v} out of range")
+
+    def _renumber(self, changes, kept):
+        """A deleted vertex takes its red mark with it."""
+        red = changes.get("red", self.red)
+        return {**changes, "red": frozenset(new for new, old in enumerate(kept) if old in red)}
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +60,13 @@ def twinset_rule(inst: ConVcInstance) -> tuple[ConVcInstance, dict | None]:
         if len(cls) <= len(shared):
             continue
         victim = cls[-1]
-        new_graph, _ = delete_vertices(g, [victim])
         entry = {
             "rule": "twinset",
             "removed": victim,
             "class": list(cls),
             "neighborhood": sorted(shared),
         }
-        return ConVcInstance(new_graph, inst.k), entry
+        return inst.without([victim]), entry
     return inst, None
 
 
@@ -102,11 +95,7 @@ def trivial_rules(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstance 
     g, red, k = inst.graph, inst.red, inst.k
     isolated_white = [v for v in g.vertices() if g.degree(v) == 0 and v not in red]
     if isolated_white:
-        new_graph, idmap = delete_vertices(g, isolated_white)
-        back = {old: new for new, old in enumerate(idmap)}
-        new_red = frozenset(back[v] for v in red)
-        entry = {"rule": "isolated-white", "removed": isolated_white}
-        return AnnotatedConVcInstance(new_graph, new_red, k), entry
+        return inst.without(isolated_white), {"rule": "isolated-white", "removed": isolated_white}
     comps = connected_components(g)
     with_edges = [c for c in comps if any(g.degree(v) > 0 for v in c)]
     if len(with_edges) >= 2:
@@ -141,24 +130,18 @@ def simplicial_rule(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstanc
     v = find_simplicial(g)
     if v is None:
         return inst, None
-    new_k = k
-    new_red = set(red)
-    if v in red:
-        new_k -= 1
-    if v not in red or g.degree(v) == 1:
-        new_red |= g.adj(v)
-    new_red.discard(v)
+    was_red = v in red
+    spread = not was_red or g.degree(v) == 1
+    new_k = k - 1 if was_red else k
     entry = {
         "rule": "simplicial",
         "removed": v,
-        "was_red": v in red,
-        "colored_red": sorted(g.adj(v) - red) if (v not in red or g.degree(v) == 1) else [],
+        "was_red": was_red,
+        "colored_red": sorted(g.adj(v) - red) if spread else [],
     }
     if new_k < 0:
         return Decided(False, "budget exhausted"), {"rule": "simplicial", "decided": "no"}
-    new_graph, idmap = delete_vertices(g, [v])
-    back = {old: new for new, old in enumerate(idmap)}
-    return AnnotatedConVcInstance(new_graph, frozenset(back[w] for w in new_red), new_k), entry
+    return inst.without([v], red=red | g.adj(v) if spread else red, k=new_k), entry
 
 
 def _simplicial_where_defined(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstance | Decided, dict | None]:
@@ -202,13 +185,11 @@ def annotated_bound_report(inst: AnnotatedConVcInstance) -> dict:
             "verdict": "within" if g.n < bound else "exceeded"}
 
 
-def kernelize_convc_c(inst: ConVcInstance) -> tuple[ConVcInstance, list[dict]]:
-    """Closure-number route: lift to all-white, reduce, re-attach leaves."""
-    annotated = AnnotatedConVcInstance(inst.graph, frozenset(), inst.k)
-    reduced, trace = kernelize_convc_annotated(annotated)
-    if isinstance(reduced, Decided):
-        reduced = decided_instance(reduced)
-    return attach_leaves(reduced), trace
+def kernelize_convc_c(inst: ConVcInstance) -> tuple[AnnotatedConVcInstance | Decided, list[dict]]:
+    """Closure-number route: the annotated kernel on the all-white lift. The
+    result stays annotated, the form its size bound applies to;
+    `attach_leaves` (or `decided_instance`) turns it back into a plain one."""
+    return kernelize_convc_annotated(AnnotatedConVcInstance(inst.graph, frozenset(), inst.k))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +198,7 @@ def kernelize_convc_c(inst: ConVcInstance) -> tuple[ConVcInstance, list[dict]]:
 MAX_ELL = 4
 
 
-class CocInstance(Record):
+class CocInstance(Instance):
     file_kind = "coc"
     __slots__ = ("graph", "ell", "k")
     graph: Graph
@@ -229,8 +210,7 @@ class CocInstance(Record):
             raise ValueError("component bound must be positive")
         if self.ell > MAX_ELL:
             raise ValueError(f"component bound above the supported maximum {MAX_ELL}")
-        if self.k < 0:
-            raise ValueError("budget must be nonnegative")
+        super().__post_init__()
 
 
 def small_component_rule(inst: CocInstance) -> tuple[CocInstance, dict | None]:
@@ -240,9 +220,8 @@ def small_component_rule(inst: CocInstance) -> tuple[CocInstance, dict | None]:
     if not small or g.n == 0:
         return inst, None
     gone = sorted(v for c in small for v in c)
-    new_graph, _ = delete_vertices(g, gone)
     entry = {"rule": "small-component", "removed": gone, "components": [list(c) for c in small]}
-    return CocInstance(new_graph, inst.ell, inst.k), entry
+    return inst.without(gone), entry
 
 
 def _connected_sets(g: Graph, r: int) -> list[tuple[int, ...]]:
@@ -312,14 +291,13 @@ def component_twin_rule(inst: CocInstance) -> tuple[CocInstance, dict | None]:
             if len(chosen) < need:
                 continue
             victim = chosen[need - 1]
-            new_graph, _ = delete_vertices(g, victim)
             entry = {
                 "rule": "component-twin",
                 "removed": list(victim),
                 "size": r,
                 "class_members": [list(t) for t in chosen[:need]],
             }
-            return CocInstance(new_graph, ell, k), entry
+            return inst.without(victim), entry
     return inst, None
 
 

@@ -27,23 +27,18 @@ from .graph import (
     Record,
     clique_number,
     contains_biclique,
-    delete_vertices,
     is_clique,
     is_independent_set,
     last_graph_memo,
 )
-from .reduction import Decided, exhaust
+from .reduction import Decided, Instance, exhaust
 
 
-class DsInstance(Record):
+class DsInstance(Instance):
     file_kind = "ds"
     __slots__ = ("graph", "k")
     graph: Graph
     k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("budget must be nonnegative")
 
 
 class SplitPartition(Record):
@@ -167,9 +162,8 @@ def isolated_rule(inst: DsInstance) -> tuple[DsInstance | Decided, dict | None]:
     if len(iso) > inst.k:
         return Decided(False, "more isolated vertices than budget"), {
             "rule": "isolated", "decided": "no", "isolated": iso}
-    new_graph, _ = delete_vertices(g, iso)
     entry = {"rule": "isolated", "removed": iso, "budget_spent": len(iso)}
-    return DsInstance(new_graph, inst.k - len(iso)), entry
+    return inst.without(iso, k=inst.k - len(iso)), entry
 
 
 def covers_clique_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
@@ -187,8 +181,7 @@ def covers_clique_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
     gone = [u for u in part.independent if g.adj(u) == cfull]
     if not gone:
         return inst, None
-    new_graph, _ = delete_vertices(g, gone)
-    return DsInstance(new_graph, inst.k), {"rule": "covers-clique", "removed": gone}
+    return inst.without(gone), {"rule": "covers-clique", "removed": gone}
 
 
 def dominated_clique_vertex_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
@@ -200,9 +193,8 @@ def dominated_clique_vertex_rule(inst: DsInstance) -> tuple[DsInstance, dict | N
     for v, nv in zip(clique, closed):
         for u, nu in zip(clique, closed):
             if u != v and nu >= nv and (nu != nv or u < v):
-                new_graph, _ = delete_vertices(g, [v])
                 entry = {"rule": "dominated-clique-vertex", "removed": v, "dominator": u}
-                return DsInstance(new_graph, inst.k), entry
+                return inst.without([v]), entry
     return inst, None
 
 
@@ -231,10 +223,9 @@ def dominated_independent_vertex_rule(inst: DsInstance) -> tuple[DsInstance, dic
                 continue
             nu = g.adj(u)
             if nu <= nv and (nu != nv or u < v):
-                new_graph, _ = delete_vertices(g, [v])
                 entry = {"rule": "dominated-independent-vertex",
                          "removed": v, "witness": u}
-                return DsInstance(new_graph, inst.k), entry
+                return inst.without([v]), entry
     return inst, None
 
 
@@ -257,14 +248,13 @@ def sunflower_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
     chosen = sorted(sf.members)[:k + 2]
     group = [ivs[i] for i in chosen]
     victim = max(group, key=lambda u: (trimmed[u][0], u))
-    new_graph, _ = delete_vertices(g, [victim])
     entry = {
         "rule": "sunflower",
         "removed": victim,
         "group": group,
         "core": sorted(sf.core),
     }
-    return DsInstance(new_graph, inst.k), entry
+    return inst.without([victim]), entry
 
 
 def kernelize_ds_split(inst: DsInstance) -> tuple[DsInstance | Decided, list[dict]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .capvc import CapVcInstance
 from .closure import closure_number, weak_closure_ordering
 from .graph import Graph, complete_bipartite, is_clique
 
@@ -30,6 +29,7 @@ def gen_capvc_lowerbound(universe_size: int, family: list[frozenset[int]],
     toward both copies. Capacities are tuned so that a cover of size
     2*lam*k + k exists exactly when k disjoint sets cover the universe.
     """
+    from .capvc import CapVcInstance  # here, so that other families never load capvc
     if lam < 1 or k < 1:
         raise ValueError("lam and k must be positive")
     if universe_size != lam * k:

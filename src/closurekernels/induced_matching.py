@@ -13,19 +13,15 @@ from __future__ import annotations
 from .capvc import twin_classes
 from .closure import weak_closure_ordering
 from .combinatorics import maximum_matching, vclp_half_integral
-from .graph import Graph, Record, delete_vertices, induced_subgraph
-from .reduction import Decided, exhaust
+from .graph import Graph, induced_subgraph
+from .reduction import Decided, Instance, exhaust
 
 
-class ImInstance(Record):
+class ImInstance(Instance):
     file_kind = "im"
     __slots__ = ("graph", "k")
     graph: Graph
     k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("budget must be nonnegative")
 
 
 def posterior_matching_threshold(weak_closure: int, k: int) -> int:
@@ -60,14 +56,13 @@ def dense_posterior_rule(inst: ImInstance) -> tuple[ImInstance, dict | None]:
             continue
         sub, _ = induced_subgraph(g, post)
         if len(maximum_matching(sub)) >= threshold:
-            new_graph, _ = delete_vertices(g, [v])
             entry = {
                 "rule": "dense-posterior",
                 "removed": v,
                 "matching_size": threshold,
                 "weak_closure": wc,
             }
-            return ImInstance(new_graph, k), entry
+            return inst.without([v]), entry
     return inst, None
 
 
@@ -105,9 +100,7 @@ def im_twin_rule(inst: ImInstance) -> tuple[ImInstance, dict | None]:
         if len(cls) < 2:
             continue
         victim = cls[-1]
-        new_graph, _ = delete_vertices(g, [victim])
-        entry = {"rule": "twin", "removed": victim, "kept": cls[0]}
-        return ImInstance(new_graph, inst.k), entry
+        return inst.without([victim]), {"rule": "twin", "removed": victim, "kept": cls[0]}
     return inst, None
 
 

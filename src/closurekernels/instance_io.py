@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 
 from .graph import Graph, Record
+from .reduction import Instance
 
 KINDS = ("graph", "capvc", "convc", "coc", "im", "ds", "is")
 
@@ -58,6 +59,29 @@ class InstanceFile(Record):
             raise ValueError("capacity vector length must equal vertex count")
         if self.parts is not None and len(self.parts) != self.graph.n:
             raise ValueError("part vector length must equal vertex count")
+
+
+class IsInstance(Instance):
+    """Independent set: `parts` gives each vertex's part index. One part asks
+    for k pairwise nonadjacent vertices; several ask for one vertex per part."""
+
+    file_kind = "is"
+    __slots__ = ("graph", "parts", "k")
+    graph: Graph
+    parts: tuple[int, ...]
+    k: int
+
+    def __post_init__(self):
+        if len(self.parts) != self.graph.n:
+            raise ValueError("part vector length must equal vertex count")
+        super().__post_init__()
+
+    def groups(self) -> list[tuple[int, ...]]:
+        """The vertices of each part, parts in index order."""
+        groups: dict[int, list[int]] = {}
+        for v, i in enumerate(self.parts):
+            groups.setdefault(i, []).append(v)
+        return [tuple(groups[i]) for i in sorted(groups)]
 
 
 def _column(line: str, i: int) -> int:
@@ -223,9 +247,9 @@ def write_instance(inst: InstanceFile) -> str:
 def to_problem(inst: InstanceFile):
     """The typed problem instance for a parsed file.
 
-    graph files map to the Graph itself; is files map to (Graph, parts, k)
-    with parts grouped from the part vector. Only the module of the kind
-    built is imported.
+    graph files map to the Graph itself and is files to an `IsInstance`;
+    every other kind maps to its problem module's class, and only that
+    module is imported.
     """
     g, k = inst.graph, inst.k
     if inst.kind == "graph":
@@ -247,25 +271,20 @@ def to_problem(inst: InstanceFile):
     if inst.kind == "ds":
         from .domset import DsInstance
         return DsInstance(g, k)
-    groups: dict[int, list[int]] = {}
-    for v in g.vertices():
-        groups.setdefault(inst.parts[v], []).append(v)
-    parts = [tuple(groups[i]) for i in sorted(groups)]
-    return g, parts, k
+    return IsInstance(g, inst.parts or (0,) * g.n, k)
 
 
-def from_problem(problem, kind: str | None = None) -> InstanceFile:
-    """Wrap a typed problem instance back into a writable file structure.
-
-    A problem class names its file kind in `file_kind`; `kind` names the
-    kind a bare Graph is wrapped as.
-    """
+def from_problem(problem) -> InstanceFile:
+    """Wrap a typed problem instance, or a bare Graph as a graph file, back
+    into a writable file structure. A problem class names its file kind in
+    `file_kind`."""
     if isinstance(problem, Graph):
-        return InstanceFile(kind or "graph", problem, 0)
+        return InstanceFile("graph", problem, 0)
     file_kind = getattr(problem, "file_kind", None)
     if file_kind is None:
         raise TypeError(f"cannot serialize {type(problem).__name__}")
     return InstanceFile(file_kind, problem.graph, problem.k,
                         ell=getattr(problem, "ell", None),
                         cap=getattr(problem, "cap", None),
-                        red=tuple(sorted(getattr(problem, "red", ()))))
+                        red=tuple(sorted(getattr(problem, "red", ()))),
+                        parts=getattr(problem, "parts", None))

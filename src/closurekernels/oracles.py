@@ -71,25 +71,10 @@ def capvc_assignment_feasible(g: Graph, cover: frozenset[int], cap: tuple[int, .
     remaining = [max(c, 0) for c in (cap[v] for v in cov)]
     assigned: list[int | None] = [None] * len(edges)
 
-    def augment(e: int, seen_v: set[int]) -> bool:
-        u, v = edges[e]
-        for w in (u, v):
-            if w not in idx or idx[w] in seen_v:
-                continue
-            wi = idx[w]
-            seen_v.add(wi)
-            if remaining[wi] > 0:
-                remaining[wi] -= 1
-                assigned[e] = wi
-                return True
-            # try to reroute one edge currently using w
-            for e2, a in enumerate(assigned):
-                if a == wi and _reroute(e2, seen_v):
-                    assigned[e] = wi
-                    return True
-        return False
-
     def _reroute(e: int, seen_v: set[int]) -> bool:
+        """Give edge e a cover endpoint other than its current one, moving
+        edges off a full endpoint recursively; an unassigned e may take
+        either endpoint."""
         u, v = edges[e]
         for w in (u, v):
             if w not in idx:
@@ -109,7 +94,7 @@ def capvc_assignment_feasible(g: Graph, cover: frozenset[int], cap: tuple[int, .
         return False
 
     for e in range(len(edges)):
-        if not augment(e, set()):
+        if not _reroute(e, set()):
             return False
     return True
 
@@ -442,17 +427,16 @@ def solve_exact_set_cover(universe_size: int, family: list[frozenset[int]],
 
 def solve_exact(problem, max_n: int, max_m: int) -> OracleResult:
     """The one oracle dispatch: the brute-force answer for a typed instance,
-    chosen by its class's `file_kind`. `is` comes as `to_problem`'s
-    (graph, parts, k); several parts ask for one vertex per part. Oracles
-    are looked up at call time, so wrappers rebound over them
-    (perfbench/tracing.py) see the calls."""
-    if isinstance(problem, tuple):
-        g, parts, k = problem
+    chosen by its class's `file_kind`. An `is` instance with several parts
+    asks for one vertex per part. Oracles are looked up at call time, so
+    wrappers rebound over them (perfbench/tracing.py) see the calls."""
+    kind = getattr(problem, "file_kind", None)
+    g, k = problem.graph, problem.k
+    if kind == "is":
+        parts = problem.groups()
         if len(parts) <= 1:
             return solve_is_exact(g, k, max_n=max_n, max_m=max_m)
         return solve_multicolored_is_exact(g, parts, max_n=max_n, max_m=max_m)
-    kind = getattr(problem, "file_kind", None)
-    g, k = problem.graph, problem.k
     if kind == "capvc":
         return solve_capvc_exact(g, problem.cap, k, max_n=max_n, max_m=max_m)
     if kind == "convc":

@@ -57,6 +57,7 @@ from .domset import (
     sunflower_rule,
 )
 from .generators import (
+    _random_clique_union,
     composition_layout,
     gen_capvc_lowerbound,
     gen_is_composition,
@@ -73,7 +74,7 @@ from .induced_matching import (
     kernelize_im,
     lp_threshold_rule,
 )
-from .instance_io import InstanceFile, from_problem, write_instance
+from .instance_io import InstanceFile, IsInstance, from_problem, write_instance
 from .oracles import solve_capvc_exact, solve_exact, solve_exact_set_cover, solve_is_exact
 from .ramsey import clique_or_independent_set, r_gamma_bound, validate_witness
 from .reduction import Decided
@@ -195,7 +196,7 @@ def suite_parameter_engines(trials: int = 5000, seed: int = 0) -> SuiteResult:
                         f"intersection invariant broken at ({u}, {v}): "
                         f"{qq} <= {qn} <= {wc - 1} fails")
         if problems:
-            rec.fail("; ".join(problems), from_problem(g, kind="graph"))
+            rec.fail("; ".join(problems), from_problem(g))
         else:
             rec.ok()
     return rec.result()
@@ -396,7 +397,7 @@ def suite_composition_patterns() -> SuiteResult:
         got = solve_is_exact(host, budget, max_n=24, max_m=80).answer
         if got != want:
             rec.fail(f"pattern {pattern}: host answer {got}, expected {want}",
-                     from_problem(host, kind="is"))
+                     from_problem(IsInstance(host, (0,) * host.n, budget)))
             continue
         layout = composition_layout(instances, t, q, k)
         problems = []
@@ -505,23 +506,12 @@ def suite_biclique_certificate(trials: int = 500, seed: int = 0) -> SuiteResult:
         elif style == 1:
             g = _random_graph(rng, n, rng.choice((0.15, 0.25)))
         else:
-            sizes = []
-            left = n
-            while left > 0:
-                s = min(left, rng.randint(1, 4))
-                sizes.append(s)
-                left -= s
-            edges = []
-            base = 0
-            for s in sizes:
-                edges.extend(combinations(range(base, base + s), 2))
-                base += s
-            g = Graph(n, edges)
+            g = _random_clique_union(rng, n)
         report = biclique_freeness_report(g)
         if report["consistent"]:
             rec.ok()
         else:
-            rec.fail(f"biclique found: {report}", from_problem(g, kind="graph"))
+            rec.fail(f"biclique found: {report}", from_problem(g))
     return rec.result()
 
 
@@ -553,12 +543,12 @@ def suite_ramsey_guarantee(seed: int = 0, samples_per_size: int = 3) -> SuiteRes
                 w = clique_or_independent_set(g, a, b)
                 if w is None:
                     rec.fail(f"no witness on n={g.n}, weak closure {wc}, "
-                             f"sizes ({a}, {b})", from_problem(g, kind="graph"))
+                             f"sizes ({a}, {b})", from_problem(g))
                     continue
                 size_ok = len(w.vertices) == (a if w.kind == "clique" else b)
                 if not (size_ok and validate_witness(g, w)):
                     rec.fail(f"invalid witness {w} on n={g.n}, sizes ({a}, {b})",
-                             from_problem(g, kind="graph"))
+                             from_problem(g))
                 else:
                     rec.ok()
     return rec.result()
@@ -621,7 +611,7 @@ def suite_vclp_exactness(trials: int = 300, seed: int = 0) -> SuiteResult:
         if recomposed != sum(sol.value2):
             problems.append("objective does not match halves/ones decomposition")
         if problems:
-            rec.fail("; ".join(problems), from_problem(g, kind="graph"))
+            rec.fail("; ".join(problems), from_problem(g))
         else:
             rec.ok()
     return rec.result()
@@ -692,8 +682,8 @@ def suite_determinism(seed: int = 0) -> SuiteResult:
     h2, _ = gen_is_composition(micro, 2, 2, 1)
     pairs.append((h1, h2))
     for first, second in pairs:
-        one = write_instance(from_problem(first, kind="graph"))
-        two = write_instance(from_problem(second, kind="graph"))
+        one = write_instance(from_problem(first))
+        two = write_instance(from_problem(second))
         if one != two:
             rec.fail("generator output differs between repeat builds")
         else:

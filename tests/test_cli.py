@@ -219,6 +219,16 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "is", src)
         assert code == 0 and "answer: yes" in out
 
+    @pytest.mark.parametrize("text", [
+        "p is 4 4 2\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n", C4_IM, C4_CONVC, C4_CAPVC, SPLIT_DS,
+    ], ids=["is", "im", "convc", "capvc", "ds"])
+    def test_negative_budget_is_a_usage_error(self, capsys, tmp_path, text):
+        src = write(tmp_path, "a.ck", text)
+        kind = text.split()[1]
+        code, out, err = run(capsys, "solve", kind, src, "--k", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: budget must be nonnegative\n"
+
     def test_multicolored_is(self, capsys, tmp_path):
         # two clique parts; picking 1 and 3 dodges the single cross edge
         text = "p is 4 3 2\npart 2 1\npart 3 1\ne 0 1\ne 0 2\ne 2 3\n"
@@ -597,6 +607,15 @@ print("subprocess", "subprocess" in sys.modules)
         assert state["dataclasses"] == "False" and state["subprocess"] == "False"
         assert state["verify"] == "_LazyModule" and state["ramsey"] == "absent"
         assert state["generators"] == "_LazyModule"
+
+    def test_generate_leaves_capvc_unloaded(self, tmp_path):
+        out = run_fresh(f"""
+import sys
+from closurekernels import cli
+assert cli.main(["generate", "split", "--out", {str(tmp_path / "g.ck")!r}]) == 0
+print(type(sys.modules["closurekernels.capvc"]).__name__)
+""")
+        assert out.splitlines()[-1] == "_LazyModule"
 
     def test_submodule_import_after_cli_is_usable(self):
         out = run_fresh("import closurekernels.cli\nimport closurekernels.verify\n"

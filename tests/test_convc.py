@@ -12,6 +12,7 @@ from closurekernels.convc import (
     attach_leaves,
     component_twin_rule,
     connected_set_twin_classes,
+    decided_instance,
     find_simplicial,
     kernelize_coc,
     kernelize_convc,
@@ -204,8 +205,17 @@ def test_annotated_kernel_path5():
     assert [e["rule"] for e in trace] == ["simplicial"] * 3 + ["single-vertex"]
 
 
+def _plain_closure_route(inst):
+    """The closure-number route as `kernel convc --mode c` writes it: a
+    decision becomes its canonical instance, red marks become leaves."""
+    reduced, trace = kernelize_convc_c(inst)
+    if isinstance(reduced, Decided):
+        reduced = decided_instance(reduced)
+    return attach_leaves(reduced), trace
+
+
 def test_closure_route_path5():
-    reduced, _ = kernelize_convc_c(ConVcInstance(path_graph(5), 3))
+    reduced, _ = _plain_closure_route(ConVcInstance(path_graph(5), 3))
     assert reduced == ConVcInstance(Graph(0), 0)
 
 
@@ -213,29 +223,29 @@ def test_closure_route_cycle_roundtrip():
     # pendant elimination marks the attachment red, and the leaf it grows
     # back lands on the same spot: the instance reproduces itself
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
-    reduced, trace = kernelize_convc_c(ConVcInstance(g, 3))
+    reduced, trace = _plain_closure_route(ConVcInstance(g, 3))
     assert reduced == ConVcInstance(g, 3)
     assert [e["rule"] for e in trace] == ["simplicial"]
     # a plain cycle has no simplicial vertex and passes through untouched
     c5 = cycle_graph(5)
-    reduced2, trace2 = kernelize_convc_c(ConVcInstance(c5, 3))
+    reduced2, trace2 = _plain_closure_route(ConVcInstance(c5, 3))
     assert reduced2 == ConVcInstance(c5, 3) and trace2 == []
 
 
 def test_closure_route_decides_no_on_budget():
-    reduced, trace = kernelize_convc_c(ConVcInstance(path_graph(5), 1))
+    reduced, trace = _plain_closure_route(ConVcInstance(path_graph(5), 1))
     assert reduced == ConVcInstance(Graph(2, [(0, 1)]), 0)
     assert trace[-1]["decided"] == "no"
 
 
 def test_closure_route_decides_yes():
-    reduced, _ = kernelize_convc_c(ConVcInstance(path_graph(3), 1))
+    reduced, _ = _plain_closure_route(ConVcInstance(path_graph(3), 1))
     assert reduced == ConVcInstance(Graph(0), 0)
 
 
 def test_closure_route_disconnected_no():
     g = Graph(4, [(0, 1), (2, 3)])
-    reduced, _ = kernelize_convc_c(ConVcInstance(g, 4))
+    reduced, _ = _plain_closure_route(ConVcInstance(g, 4))
     assert reduced == ConVcInstance(Graph(2, [(0, 1)]), 0)
 
 
@@ -247,7 +257,7 @@ def test_closure_route_preserves_oracle_answer():
         if g.m > 18:
             continue
         k = rng.randint(0, 4)
-        reduced, _ = kernelize_convc_c(ConVcInstance(g, k))
+        reduced, _ = _plain_closure_route(ConVcInstance(g, k))
         before = solve_convc_exact(g, k).answer
         after = solve_convc_exact(reduced.graph, reduced.k,
                                   max_n=20, max_m=40).answer

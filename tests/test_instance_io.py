@@ -9,6 +9,7 @@ from closurekernels.graph import Graph
 from closurekernels.induced_matching import ImInstance
 from closurekernels.instance_io import (
     InstanceFile,
+    IsInstance,
     ParseError,
     from_problem,
     parse_instance,
@@ -160,7 +161,8 @@ class TestProblemBridge:
         assert isinstance(to_problem(InstanceFile("ds", g, 1)), DsInstance)
         assert to_problem(InstanceFile("graph", g, 0)) == g
         got = to_problem(InstanceFile("is", g, 1, parts=(0, 1)))
-        assert got == (g, [(0,), (1,)], 1)
+        assert got == IsInstance(g, (0, 1), 1)
+        assert got.groups() == [(0,), (1,)]
 
     def test_from_problem_round_trip(self):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -4,6 +4,8 @@ on a decision."""
 import json
 import random
 
+import pytest
+
 from closurekernels.capvc import CapVcInstance, kernelize_capvc
 from closurekernels.convc import (
     AnnotatedConVcInstance,
@@ -16,8 +18,15 @@ from closurekernels.convc import (
 )
 from closurekernels.domset import DsInstance, kernelize_ds_split
 from closurekernels.generators import gen_random_split
-from closurekernels.graph import Graph
+from closurekernels.graph import Graph, path_graph
 from closurekernels.induced_matching import ImInstance, kernelize_im
+from closurekernels.instance_io import (
+    IsInstance,
+    from_problem,
+    parse_instance,
+    to_problem,
+    write_instance,
+)
 from closurekernels.reduction import Decided, exhaust
 
 
@@ -91,3 +100,52 @@ def test_kernel_traces_are_plain_json():
         "small-component", "split-edges", "split-red", "twinset", "dominated-clique-vertex",
         "dominated-independent-vertex", "isolated", "sunflower", "dense-posterior",
         "lp-threshold", "twin"}
+
+
+def test_without_carries_cap_to_the_new_ids():
+    inst = CapVcInstance(path_graph(4), (5, 6, 7, 8), 2)
+    assert inst.without([1]) == CapVcInstance(Graph(3, [(1, 2)]), (5, 7, 8), 2)
+    # changes name vertices in the numbering before the deletion
+    assert inst.without([1], cap=(50, 60, 70, 80)) == \
+        CapVcInstance(Graph(3, [(1, 2)]), (50, 70, 80), 2)
+
+
+def test_without_carries_red_to_the_new_ids():
+    inst = AnnotatedConVcInstance(path_graph(4), frozenset({1, 3}), 2)
+    assert inst.without([0]) == AnnotatedConVcInstance(path_graph(3), frozenset({0, 2}), 2)
+    assert inst.without([1], red={2, 3}, k=1) == \
+        AnnotatedConVcInstance(Graph(3, [(1, 2)]), frozenset({1, 2}), 1)
+    # a deleted vertex takes its red mark with it
+    assert inst.without([3]).red == frozenset({1})
+
+
+def test_without_keeps_the_class_and_other_fields():
+    g = path_graph(5)
+    for inst in (ConVcInstance(g, 2), CocInstance(g, 3, 2), ImInstance(g, 2), DsInstance(g, 2)):
+        out = inst.without([0, 4])
+        assert type(out) is type(inst) and out == inst.replace(graph=path_graph(3))
+
+
+@pytest.mark.parametrize("inst", [
+    CapVcInstance(path_graph(3), (1, 1, 1), 1),
+    ConVcInstance(path_graph(3), 1),
+    AnnotatedConVcInstance(path_graph(3), frozenset({1}), 1),
+    CocInstance(path_graph(3), 1, 1),
+    ImInstance(path_graph(3), 1),
+    DsInstance(path_graph(3), 1),
+], ids=lambda inst: type(inst).__name__)
+def test_without_validates_again(inst):
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        inst.without([0], k=-1)
+
+
+def test_is_instance_round_trips_through_files():
+    g = Graph(4, [(0, 1), (2, 3)])
+    for problem in (IsInstance(g, (0, 0, 0, 0), 2), IsInstance(g, (1, 1, 0, 0), 2)):
+        back = to_problem(parse_instance(write_instance(from_problem(problem))))
+        assert back == problem
+    assert IsInstance(g, (1, 1, 0, 0), 2).groups() == [(2, 3), (0, 1)]
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        IsInstance(g, (0, 0, 0, 0), -1)
+    with pytest.raises(ValueError, match="part vector length"):
+        IsInstance(g, (0, 0), 1)

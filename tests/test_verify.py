@@ -9,6 +9,8 @@ import pytest
 from closurekernels import verify as verify_mod
 from closurekernels.convc import ConVcInstance
 from closurekernels.graph import delete_vertices
+from closurekernels.instance_io import IsInstance, parse_instance, to_problem, write_instance
+from closurekernels.oracles import OracleResult, solve_is_exact
 from closurekernels.verify import (
     RULE_CASES,
     SUITES,
@@ -52,6 +54,18 @@ def test_setcover_gadget_passes():
 def test_composition_patterns_passes():
     r = suite_composition_patterns()
     assert r.passed and r.checked == 16
+
+
+def test_composition_counterexample_is_the_host_with_its_budget(monkeypatch):
+    # an oracle that answers no everywhere is wrong on every yes pattern
+    monkeypatch.setattr(verify_mod, "solve_is_exact", lambda g, k, **_: OracleResult(False))
+    r = suite_composition_patterns()
+    assert not r.passed and r.artifacts
+    for artifact in r.artifacts:
+        problem = to_problem(parse_instance(write_instance(artifact)))
+        assert problem == to_problem(artifact)
+        assert isinstance(problem, IsInstance) and problem.k == 3
+        assert solve_is_exact(problem.graph, problem.k).answer is True
 
 
 def test_kernel_size_bounds_passes():
