@@ -414,10 +414,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest n for brute-force clique number (default 26)")
     p.set_defaults(fn=cmd_params)
 
-    p = sub.add_parser("kernel", help="run a reduction pipeline")
-    p.add_argument("problem", nargs="?", choices=KERNEL_PROBLEMS, default=None,
-                   help="problem to kernelize (default: the file's kind)")
-    p.add_argument("path")
+    p = sub.add_parser("kernel", help="run a reduction pipeline",
+                       usage="%(prog)s [problem] path [options]")
+    # one list, not an optional `problem` before `path`: argparse fills
+    # positionals only up to the first option (see main)
+    p.add_argument("operands", nargs="+", metavar="[problem] path",
+                   help=f"problem to kernelize, one of {', '.join(KERNEL_PROBLEMS)} "
+                        "(default: the file's kind), then the instance file")
     p.add_argument("--mode", choices=("gamma", "c"), default="gamma",
                    help="convc route: weak-closure twin rule or closure-number "
                         "annotated pipeline (default gamma)")
@@ -427,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="write the reduced instance here instead of stdout")
     p.add_argument("--trace", default=None, help="write the JSON trace here")
-    p.set_defaults(fn=cmd_kernel)
+    p.set_defaults(fn=cmd_kernel, operand_error=p.error)
 
     p = sub.add_parser("solve", help="exact oracle answer with witness")
     p.add_argument("problem", choices=SOLVE_PROBLEMS)
@@ -477,10 +480,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _kernel_operands(error, operands: list[str], extra: list[str]) -> tuple[str | None, str]:
+    """kernel's (problem, path) from the operands argparse took and the
+    arguments it left over, in command-line order; `error` is the kernel
+    parser's, which prints its usage and exits 2."""
+    options = [a for a in extra if a.startswith("-")]
+    operands = operands + extra
+    if options or len(operands) > 2:
+        error(f"unrecognized arguments: {' '.join(options or operands[2:])}")
+    if len(operands) == 1:
+        return None, operands[0]
+    if operands[0] not in KERNEL_PROBLEMS:
+        error(f"argument problem: invalid choice: {operands[0]!r} "
+              f"(choose from {', '.join(KERNEL_PROBLEMS)})")
+    return operands[0], operands[1]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if args.command == "kernel":
+            # argparse leaves the operands after an option unparsed, as in
+            # `kernel convc --mode c in.ck`: they arrive here in order
+            args.problem, args.path = _kernel_operands(args.operand_error, args.operands, extra)
+        elif extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -7,8 +7,15 @@ The weak closure number is the least g such that every induced subgraph has
 a vertex with per-vertex closure < g; it is computed exactly by greedy
 peeling and certified by the emitted ordering.
 
-ClosureEngine peels from common-neighbor counts kept up to date from wedges;
-vertex_closure, _suffix_closures and exhaustive_weak_closure recompute from scratch.
+The engines read one count table per graph: the common-neighbor count of
+every nonadjacent pair that shares a neighbor, each vertex's closure (the
+row maximum), and a histogram of each row. The table is walked wedge by
+wedge on sparse graphs and built from `int` neighborhood masks, one popcount
+per pair, on dense ones. closure_number reads its maxima. ClosureEngine peels
+from a copy, keeping counts up to date from the wedges through the removed
+vertex and each closure from its row's histogram. vertex_closure,
+_suffix_closures and exhaustive_weak_closure recompute from scratch and share
+nothing with the table, so they stay the independent references.
 
 The pristine count table and the weak closure ordering are built once per
 graph object and kept for the last graph each was asked about, so the callers
@@ -39,14 +46,6 @@ def vertex_closure(g: Graph, v: int) -> int:
         if common > best:
             best = common
     return best
-
-
-def closure_number(g: Graph) -> int:
-    """Smallest c with every per-vertex closure < c, i.e. 1 + max closure.
-    Only vertices two steps apart share neighbors, so only those pairs are compared."""
-    adj = g.adjacency()
-    return 1 + max((len(nu & adj[w]) for u, nu in enumerate(adj)
-                    for w in set().union(*[adj[c] for c in nu]) - nu if w > u), default=0)
 
 
 class ClosureOrdering(Record):
@@ -107,60 +106,115 @@ class _MinBuckets:
             lo += 1
 
 
-@last_graph_memo
-def _count_table(g: Graph) -> tuple[list[dict[int, int]], list[int]]:
-    """rows[v][w] = |N(v) & N(w)| for every nonadjacent w != v sharing a
-    neighbor with v, built from the wedges in O(sum of deg^2), and each row's
-    maximum (0 for an empty row). Shared by every engine on g: read only."""
+def _wedge_rows(g: Graph) -> list[dict[int, int]]:
+    # one step per wedge u - c - w with u, w nonadjacent: O(sum of deg^2)
     adj = g.adjacency()
     rows = [{} for _ in adj]
-    for nb in adj:  # every wedge u - c - w with u, w nonadjacent
+    for nb in adj:
         for u in nb:
             row = rows[u]
             for w in nb - adj[u]:
                 if w != u:
                     row[w] = row.get(w, 0) + 1
-    return rows, [max(row.values()) if row else 0 for row in rows]
+    return rows
+
+
+def _mask_rows(g: Graph) -> list[dict[int, int]]:
+    # v's partners are the bits of the OR of its neighbours' masks outside
+    # N[v]; each count is one popcount: O(n^2) steps on n-bit ints
+    masks = g.adjacency_masks()
+    rows = []
+    for v, nb in enumerate(g.adjacency()):
+        mv = masks[v]
+        reach = 0
+        for u in nb:
+            reach |= masks[u]
+        bits = bin(reach & ~(mv | 1 << v))[:1:-1]  # bit w is character w
+        rows.append({w: (mv & masks[w]).bit_count() for w, b in enumerate(bits) if b == "1"})
+    return rows
+
+
+def _dense(g: Graph) -> bool:
+    """Whether the wedges (about sum of deg^2) outnumber the vertex pairs,
+    plus a per-vertex allowance for the mask builder's fixed cost, which
+    keeps all but the densest graphs on n <= 8 on the wedge walk."""
+    return sum(len(nb) * len(nb) for nb in g.adjacency()) > g.n * (g.n + 16)
+
+
+@last_graph_memo
+def _count_table(g: Graph) -> tuple[list[dict[int, int]], list[int], list[list[int]]]:
+    """rows[v][w] = |N(v) & N(w)| for every nonadjacent w != v sharing a
+    neighbor with v; each row's maximum (0 for an empty row); and each row's
+    histogram, hist[v][c] = the number of w with rows[v][w] == c. Walked
+    wedge by wedge on sparse graphs and built from bitmasks on dense ones.
+    Shared by every engine on g: read only."""
+    rows = _mask_rows(g) if _dense(g) else _wedge_rows(g)
+    closure, hist = [], []
+    for row in rows:
+        top = max(row.values()) if row else 0
+        h = [0] * (top + 1)
+        for c in row.values():
+            h[c] += 1
+        closure.append(top)
+        hist.append(h)
+    return rows, closure, hist
+
+
+def closure_number(g: Graph) -> int:
+    """Smallest c with every per-vertex closure < c, i.e. 1 + max closure,
+    read off the count table the closure engines share."""
+    return 1 + max(_count_table(g)[1], default=0)
 
 
 class ClosureEngine(_MinBuckets):
     """Closures of an induced subgraph losing one vertex at a time: rows[v][w]
-    counts v's common neighbors with each nonadjacent alive w; closure[v] is
-    the row maximum, or 0. Each engine starts from its own copy of g's count
-    table, so engines on one graph never share state."""
+    counts v's common neighbors with each nonadjacent alive w (a count may
+    fall to 0 and stay); hist[v][c] is the number of v's entries equal to c;
+    closure[v] is the row maximum, or 0, the top nonempty bucket of hist[v].
+    A count only falls, so each removal moves entries one bucket down and
+    lowers closure[v] past the buckets that emptied, without rescanning the
+    row (Matula-Beck bucket peeling). Each engine starts from its own copy of
+    g's count table and histograms, so engines on one graph never share
+    state."""
 
-    __slots__ = ("adj", "rows", "alive", "closure")
+    __slots__ = ("adj", "rows", "hist", "alive", "closure")
 
     def __init__(self, g: Graph):
-        rows, closure = _count_table(g)
+        rows, closure, hist = _count_table(g)
         self.adj = g.adjacency()
         self.rows = [row.copy() for row in rows]
+        self.hist = [h.copy() for h in hist]
         self.alive = set(g.vertices())
         self.closure = closure.copy()
         super().__init__(self.closure)
 
     def remove(self, x: int) -> None:
         """Delete alive vertex x: only N(x) and x's partners change closure."""
-        rows, closure, adj = self.rows, self.closure, self.adj
+        rows, hist, closure, adj = self.rows, self.hist, self.closure, self.adj
         self.alive.remove(x)
         closure[x] = -1
         nb = adj[x] & self.alive
         for u in nb:
-            row = rows[u]
+            row, h = rows[u], hist[u]
             for w in nb - adj[u]:
                 if w != u:
-                    row[w] -= 1
+                    c = row[w]
+                    row[w] = c - 1
+                    h[c] -= 1
+                    h[c - 1] += 1
         partners = rows[x]
         for w in partners:
-            del rows[w][x]
+            hist[w][rows[w].pop(x)] -= 1
         for v in (*nb, *partners):  # disjoint: partners are nonadjacent to x
-            row = rows[v]
-            c = max(row.values()) if row else 0
-            if c != closure[v]:
-                closure[v] = c
-                heappush(self.heaps[c], v)  # lowered(v), inlined: the hot path on tiny graphs
-                if c < self.lo:
-                    self.lo = c
+            h = hist[v]
+            c = top = closure[v]
+            while top and not h[top]:
+                top -= 1
+            if top != c:
+                closure[v] = top
+                heappush(self.heaps[top], v)  # lowered(v), inlined: the hot path on tiny graphs
+                if top < self.lo:
+                    self.lo = top
 
     def peel(self, order: tuple[int, ...] | None = None) -> ClosureOrdering:
         """Remove every alive vertex, in `order` or else by least closure, ties

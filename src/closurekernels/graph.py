@@ -151,10 +151,12 @@ class Graph:
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighborhood bitmasks (bit v set iff edge to v)."""
-        masks = [0] * self.n
-        for u, v in self.edges():
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        masks = []
+        for nb in self._nbrs:
+            mask = 0
+            for w in nb:
+                mask |= 1 << w
+            masks.append(mask)
         return masks
 
 

@@ -122,6 +122,27 @@ class TestKernel:
         # stdout got the canonical decided-yes instance
         assert out.startswith("p convc 0 0 0")
 
+    def test_options_may_sit_anywhere_among_the_operands(self, capsys, tmp_path):
+        src = write(tmp_path, "a.ck", "p convc 5 4 3\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n")
+        outs = []
+        for argv in (["convc", "--mode", "c", src], ["--mode", "c", "convc", src],
+                     ["convc", src, "--mode", "c"], ["--mode", "c", src]):
+            trace_path = str(tmp_path / "tr.json")
+            code, out, err = run(capsys, "kernel", *argv, "--trace", trace_path)
+            assert (code, err) == (0, "")
+            outs.append((out, open(trace_path).read()))
+        assert json.loads(outs[0][1])["mode"] == "c"
+        assert outs == [outs[0]] * 4
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convc", "a.ck", "b.ck"], "unrecognized arguments: b.ck"),
+        (["convc", "--bogus", "a.ck"], "unrecognized arguments: --bogus"),
+        (["bogus", "a.ck"], "invalid choice: 'bogus'"),
+    ])
+    def test_bad_operands_are_usage_errors(self, capsys, argv, message):
+        code, _, err = run(capsys, "kernel", *argv)
+        assert code == 2 and message in err
+
     def test_red_marks_route_to_annotated_pipeline(self, capsys, tmp_path):
         text = "p convc 3 2 2\nred 1\ne 0 1\ne 1 2\n"
         src = write(tmp_path, "a.ck", text)

@@ -122,6 +122,12 @@ def engine_cases():
             yield complete_bipartite(k, b)
     for _ in range(60):
         yield with_twins(random_graph(rng.randint(1, 6), rng.choice([0.3, 0.6]), rng), rng)
+    # split graphs: a clique side dense enough for the mask builder, alone
+    # and with true and false twin copies
+    for seed in range(24):
+        yield gen_random_split(rng.randint(8, 24), seed)
+    for seed in range(12):
+        yield with_twins(gen_random_split(rng.randint(4, 10), seed), rng)
 
 
 def test_engine_matches_naive_peeling():
@@ -154,6 +160,56 @@ def fresh_rows(g):
     return [{w: len(g.adj(v) & g.adj(w)) for w in g.vertices()
              if w != v and w not in g.adj(v) and g.adj(v) & g.adj(w)}
             for v in g.vertices()]
+
+
+def test_both_count_builders_match_fresh_rows():
+    rng = random.Random(3131)
+    graphs = [random_graph(rng.randint(0, 8), rng.choice([0.2, 0.5, 0.9, 1.0]), rng)
+              for _ in range(160)]
+    graphs += [random_graph(rng.randint(20, 60), rng.choice([0.03, 0.1, 0.3, 0.7]), rng)
+               for _ in range(120)]
+    graphs += [split_with_twins(rng.randint(90, 110), seed, 4) for seed in range(20)]
+    sides = Counter()
+    for g in graphs:
+        rows = fresh_rows(g)
+        assert closure_module._wedge_rows(g) == rows
+        assert closure_module._mask_rows(g) == rows
+        table_rows, closures, hist = closure_module._count_table.__wrapped__(g)
+        assert table_rows == rows
+        assert closures == [max(row.values(), default=0) for row in rows]
+        assert hist == [[sum(c == i for c in row.values()) for i in range(top + 1)]
+                        for row, top in zip(rows, closures)]
+        sides[closure_module._dense(g), g.n <= 8] += 1
+    # both builders are chosen, for tiny graphs and for large ones
+    assert all(sides[dense, tiny] >= 10 for dense in (False, True) for tiny in (False, True))
+
+
+def test_histograms_follow_removals():
+    rng = random.Random(2718)
+    graphs = [random_graph(rng.randint(2, 40), rng.choice([0.1, 0.3, 0.6, 0.9]), rng)
+              for _ in range(80)]
+    graphs += [split_with_twins(rng.randint(20, 60), seed, 3) for seed in range(20)]
+    for g in graphs:
+        engine = ClosureEngine(g)
+        victims = rng.sample(range(g.n), rng.randint(1, g.n))
+        for x in victims:
+            engine.remove(x)
+        for v in engine.alive:
+            row, hist = engine.rows[v], engine.hist[v]
+            counts = Counter(row.values())
+            assert all(hist[c] == counts[c] for c in range(len(hist)))
+            assert set(counts) <= set(range(len(hist)))
+            assert engine.closure[v] == max(row.values(), default=0)
+            # the row holds exactly the alive partners' live counts
+            alive_nb = g.adj(v) & engine.alive
+            assert {w: c for w, c in row.items() if c} == {
+                w: len(alive_nb & g.adj(w)) for w in engine.alive
+                if w != v and w not in g.adj(v) and alive_nb & g.adj(w)}
+        fresh = ClosureEngine(g)
+        rows = fresh_rows(g)
+        assert fresh.rows == rows
+        assert fresh.closure == [max(row.values(), default=0) for row in rows]
+        assert fresh.peel() == weak_closure_ordering(g)
 
 
 def test_engines_on_one_graph_are_independent():
