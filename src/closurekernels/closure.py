@@ -8,21 +8,24 @@ a vertex with per-vertex closure < g; it is computed exactly by greedy
 peeling and certified by the emitted ordering.
 
 The engines read one count table per graph: the common-neighbor count of
-every nonadjacent pair that shares a neighbor, each vertex's closure (the
-row maximum), and a histogram of each row. The table is walked wedge by
-wedge on sparse graphs and built from `int` neighborhood masks, one popcount
-per pair, on dense ones. closure_number reads its maxima. ClosureEngine peels
-from a copy, keeping counts up to date from the wedges through the removed
-vertex and each closure from its row's histogram. vertex_closure,
-_suffix_closures and exhaustive_weak_closure recompute from scratch and share
-nothing with the table, so they stay the independent references.
+every nonadjacent pair that shares a neighbor and each vertex's closure (the
+row maximum). The table is walked wedge by wedge on sparse graphs and built
+from `int` neighborhood masks, one popcount per pair, on dense ones.
+closure_number reads its maxima. ClosureEngine peels from a copy, builds a
+histogram of each row, and keeps counts up to date from the wedges through
+the removed vertex and each closure from its row's histogram.
+vertex_closure, _suffix_closures and exhaustive_weak_closure recompute from
+scratch and share nothing with the table, so they stay the independent
+references.
 
 The pristine count table and the weak closure ordering are built once per
 graph object and kept for the last graph each was asked about, so the callers
 that look at one graph in turn share them: the kernel CLI's parameter report,
 the im rules of one round, and the ds sunflower rule (whose good_ordering
-builds two engines) with the size report on the final graph. Every engine
-works on a copy of the table.
+reads only the weak closure and counts its own closures on neighborhood
+masks) with the size report on the final graph. In the kernels the weak
+closure peel is the one engine built per graph; it works on a copy of the
+table.
 """
 from __future__ import annotations
 
@@ -142,22 +145,13 @@ def _dense(g: Graph) -> bool:
 
 
 @last_graph_memo
-def _count_table(g: Graph) -> tuple[list[dict[int, int]], list[int], list[list[int]]]:
+def _count_table(g: Graph) -> tuple[list[dict[int, int]], list[int]]:
     """rows[v][w] = |N(v) & N(w)| for every nonadjacent w != v sharing a
-    neighbor with v; each row's maximum (0 for an empty row); and each row's
-    histogram, hist[v][c] = the number of w with rows[v][w] == c. Walked
+    neighbor with v, and each row's maximum (0 for an empty row). Walked
     wedge by wedge on sparse graphs and built from bitmasks on dense ones.
     Shared by every engine on g: read only."""
     rows = _mask_rows(g) if _dense(g) else _wedge_rows(g)
-    closure, hist = [], []
-    for row in rows:
-        top = max(row.values()) if row else 0
-        h = [0] * (top + 1)
-        for c in row.values():
-            h[c] += 1
-        closure.append(top)
-        hist.append(h)
-    return rows, closure, hist
+    return rows, [max(row.values(), default=0) for row in rows]
 
 
 def closure_number(g: Graph) -> int:
@@ -174,16 +168,21 @@ class ClosureEngine(_MinBuckets):
     A count only falls, so each removal moves entries one bucket down and
     lowers closure[v] past the buckets that emptied, without rescanning the
     row (Matula-Beck bucket peeling). Each engine starts from its own copy of
-    g's count table and histograms, so engines on one graph never share
-    state."""
+    g's count table and builds the histograms from it, so engines on one
+    graph never share state and callers that never peel pay for none."""
 
     __slots__ = ("adj", "rows", "hist", "alive", "closure")
 
     def __init__(self, g: Graph):
-        rows, closure, hist = _count_table(g)
+        rows, closure = _count_table(g)
         self.adj = g.adjacency()
         self.rows = [row.copy() for row in rows]
-        self.hist = [h.copy() for h in hist]
+        self.hist = []
+        for row, top in zip(rows, closure):
+            h = [0] * (top + 1)
+            for c in row.values():
+                h[c] += 1
+            self.hist.append(h)
         self.alive = set(g.vertices())
         self.closure = closure.copy()
         super().__init__(self.closure)

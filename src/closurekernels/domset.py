@@ -20,7 +20,7 @@ is a maximum clique, so the kernel does not try it.
 """
 from __future__ import annotations
 
-from .closure import ClosureEngine, ClosureOrdering, weak_closure_ordering
+from .closure import ClosureOrdering, weak_closure_ordering
 from .combinatorics import find_sunflower, sunflower_guarantee
 from .graph import (
     Graph,
@@ -84,19 +84,29 @@ def is_split(g: Graph) -> bool:
     return _split_partition_opt(g) is not None
 
 
+def _closure_among(masks: list[int], alive: int, v: int) -> int:
+    """v's closure in G[alive], one popcount per alive non-neighbor."""
+    nv = masks[v] & alive
+    rest = bin(alive & ~nv & ~(1 << v))[:1:-1]  # bit w is character w
+    return max([(nv & masks[w]).bit_count() for w, b in enumerate(rest) if b == "1"],
+               default=0)
+
+
 def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
     """An ordering certifying the weak closure in which every clique vertex
     comes before every independent vertex.
 
-    Built front-and-back: a clique vertex of currently small closure can
-    lead, an independent vertex of small degree can trail, and once the
-    maximum degree drops below the weak closure the rest goes in sorted
-    clique-then-independent order.
+    Built front-and-back on an alive bitmask: a clique vertex of currently
+    small closure can lead, an independent vertex of small degree can trail,
+    and once the maximum degree drops below the weak closure the rest goes in
+    sorted clique-then-independent order. Every closure, the certificate's
+    recount in each suffix graph included, is a row of mask popcounts.
     """
     gamma = weak_closure_ordering(g).weak_closure
     cset = set(part.clique)
     iset = set(part.independent)
-    engine = ClosureEngine(g)
+    masks = g.adjacency_masks()
+    alive = (1 << g.n) - 1
     deg = {v: g.degree(v) for v in g.vertices()}  # degrees among the alive
     front: list[int] = []
     back: list[int] = []
@@ -105,7 +115,8 @@ def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
             front += sorted(cset & deg.keys()) + sorted(iset & deg.keys())
             break
         if min(deg.values()) >= gamma:
-            v = min((v for v in cset & deg.keys() if engine.closure[v] < gamma), default=None)
+            v = next((v for v in sorted(cset & deg.keys())
+                      if _closure_among(masks, alive, v) < gamma), None)
             if v is None:
                 raise GoodOrderingError("no low-closure clique vertex available")
             front.append(v)
@@ -114,11 +125,16 @@ def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
             if v is None:
                 raise GoodOrderingError("no low-degree independent vertex available")
             back.append(v)
-        engine.remove(v)
+        alive ^= 1 << v
         del deg[v]
         for w in g.adj(v) & deg.keys():
             deg[w] -= 1
-    ordering = ClosureEngine(g).peel(tuple(front + back[::-1]))
+    order, steps = (*front, *back[::-1]), []
+    alive = (1 << g.n) - 1
+    for v in order:  # each step's closure in G[order[i:]], counted afresh
+        steps.append(_closure_among(masks, alive, v))
+        alive ^= 1 << v
+    ordering = ClosureOrdering(order, tuple(steps), 1 + max(steps, default=0))
     if ordering.weak_closure != gamma:
         raise GoodOrderingError("constructed ordering does not certify the weak closure")
     pos = ordering.position()
@@ -260,10 +276,10 @@ def sunflower_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
 def kernelize_ds_split(inst: DsInstance) -> tuple[DsInstance | Decided, list[dict]]:
     """The isolated-vertex charge and the three reductions to exhaustion,
     cheapest checks first. Every rule of a round reads the same graph, so
-    the partition is computed once per round and the sunflower rule's
-    ordering builds the common-neighbor counts once (both are kept for the
-    last graph asked about); a fire makes a new graph, and the next round
-    computes them afresh. Raises ValueError for non-split graphs."""
+    the partition and the weak closure behind the sunflower rule's ordering
+    are computed once per round (both are kept for the last graph asked
+    about); a fire makes a new graph, and the next round computes them
+    afresh. Raises ValueError for non-split graphs."""
     split_partition(inst.graph)
     return exhaust(inst, (isolated_rule, dominated_clique_vertex_rule,
                           dominated_independent_vertex_rule, sunflower_rule))

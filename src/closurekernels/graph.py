@@ -100,6 +100,17 @@ class Graph:
         self._sets = tuple(frozenset(s) for s in adj)
         self._nbrs = tuple(tuple(sorted(s)) for s in adj)
 
+    @classmethod
+    def _from_neighbors(cls, nbrs: list[tuple[int, ...]]) -> Graph:
+        """Trusted constructor: nbrs[v] is v's sorted neighbor tuple, already
+        symmetric and free of loops, out-of-range ids and duplicates."""
+        g = object.__new__(cls)
+        g.n = len(nbrs)
+        g._m = sum(map(len, nbrs)) // 2
+        g._sets = tuple(map(frozenset, nbrs))
+        g._nbrs = tuple(nbrs)
+        return g
+
     @property
     def m(self) -> int:
         return self._m
@@ -209,19 +220,16 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     """Induced subgraph on `keep`, renumbered densely.
 
     Returns (subgraph, idmap) where idmap[new_id] = old_id. The map is sorted,
-    so renumbering is order-preserving.
+    so renumbering is order-preserving and keeps neighbor tuples sorted.
     """
     idmap = tuple(sorted(set(keep)))
     for v in idmap:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
     back = {old: new for new, old in enumerate(idmap)}
-    edges = [
-        (back[u], back[v])
-        for u, v in g.edges()
-        if u in back and v in back
-    ]
-    return Graph(len(idmap), edges), idmap
+    nbrs = g._nbrs
+    return Graph._from_neighbors([tuple([back[w] for w in nbrs[v] if w in back])
+                                  for v in idmap]), idmap
 
 
 def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

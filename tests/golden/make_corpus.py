@@ -210,6 +210,9 @@ def cases() -> list[tuple[str, str, list[str]]]:
         ("ds-generated", generated("split", "--n", "14", "--seed", "3", "--kind", "ds",
                                    "--k", "3"),
          ["kernel", "IN", *KERNEL]),
+        ("ds-sunflower-dense", generated("split", "--n", "80", "--seed", "2", "--kind", "ds",
+                                         "--k", "1"),
+         ["kernel", "ds", "IN", *KERNEL]),
         # parameter reports
         ("params-kab", instance("graph", 7, k_ab(2, 5)), ["params", "IN"]),
         ("params-random", instance("graph", 15, gnp(15, 0.25, 2)), ["params", "IN"]),

@@ -174,11 +174,12 @@ def test_both_count_builders_match_fresh_rows():
         rows = fresh_rows(g)
         assert closure_module._wedge_rows(g) == rows
         assert closure_module._mask_rows(g) == rows
-        table_rows, closures, hist = closure_module._count_table.__wrapped__(g)
+        table_rows, closures = closure_module._count_table.__wrapped__(g)
         assert table_rows == rows
         assert closures == [max(row.values(), default=0) for row in rows]
-        assert hist == [[sum(c == i for c in row.values()) for i in range(top + 1)]
-                        for row, top in zip(rows, closures)]
+        assert ClosureEngine(g).hist == [
+            [sum(c == i for c in row.values()) for i in range(top + 1)]
+            for row, top in zip(rows, closures)]
         sides[closure_module._dense(g), g.n <= 8] += 1
     # both builders are chosen, for tiny graphs and for large ones
     assert all(sides[dense, tiny] >= 10 for dense in (False, True) for tiny in (False, True))

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from closurekernels.closure import _suffix_closures, weak_closure_ordering
+from closurekernels.closure import ClosureEngine, _suffix_closures, weak_closure_ordering
 from closurekernels.domset import (
     DsInstance,
+    GoodOrderingError,
     SplitPartition,
     biclique_freeness_report,
     covers_clique_rule,
@@ -109,6 +111,104 @@ def test_good_ordering_certificate_matches_suffix_recompute():
         ordering = good_ordering(g, split_partition(g))
         assert ordering.step_closure == _suffix_closures(g, ordering.order)
         assert ordering.weak_closure == 1 + max(ordering.step_closure, default=0)
+
+
+def engine_good_ordering(g, part):
+    # the engine-built ordering good_ordering replaced: a ClosureEngine reads
+    # the front's clique closures and a second engine replays the order
+    gamma = weak_closure_ordering(g).weak_closure
+    cset = set(part.clique)
+    iset = set(part.independent)
+    engine = ClosureEngine(g)
+    deg = {v: g.degree(v) for v in g.vertices()}
+    front, back = [], []
+    while deg:
+        if max(deg.values()) <= gamma - 1:
+            front += sorted(cset & deg.keys()) + sorted(iset & deg.keys())
+            break
+        if min(deg.values()) >= gamma:
+            v = min((v for v in cset & deg.keys() if engine.closure[v] < gamma), default=None)
+            if v is None:
+                raise GoodOrderingError("no low-closure clique vertex available")
+            front.append(v)
+        else:
+            v = min((v for v in iset & deg.keys() if deg[v] <= gamma - 1), default=None)
+            if v is None:
+                raise GoodOrderingError("no low-degree independent vertex available")
+            back.append(v)
+        engine.remove(v)
+        del deg[v]
+        for w in g.adj(v) & deg.keys():
+            deg[w] -= 1
+    ordering = ClosureEngine(g).peel(tuple(front + back[::-1]))
+    if ordering.weak_closure != gamma:
+        raise GoodOrderingError("constructed ordering does not certify the weak closure")
+    pos = ordering.position()
+    if part.clique and part.independent:
+        if max(pos[v] for v in part.clique) > min(pos[v] for v in part.independent):
+            raise GoodOrderingError("clique vertices must all come first")
+    return ordering
+
+
+def ordering_or_error(build, g, part):
+    try:
+        return build(g, part)
+    except GoodOrderingError as exc:
+        return str(exc)
+
+
+def split_with_false_twins(rng, n, p, twins):
+    # a clique on the first a vertices, crossings with probability p, and
+    # copies of independent vertices with the same neighborhood
+    a = rng.randint(1, n - 1)
+    edges = list(itertools.combinations(range(a), 2))
+    edges += [(u, v) for u in range(a) for v in range(a, n) if rng.random() < p]
+    g = Graph(n, edges)
+    for i, v in enumerate(rng.sample(range(a, n), min(twins, n - a))):
+        edges += [(u, n + i) for u in g.neighbors(v)]
+    return Graph(n + min(twins, n - a), edges)
+
+
+def noncanonical_partitions(g, part):
+    # the clique side minus one clique vertex with no independent neighbor
+    # is still a split partition, just not the degree-sequence one
+    iset = set(part.independent)
+    for v in part.clique:
+        if not g.adj(v) & iset:
+            yield SplitPartition(tuple(u for u in part.clique if u != v),
+                                 tuple(sorted(iset | {v})))
+
+
+def test_good_ordering_matches_engine_built_ordering():
+    rng = random.Random(167)
+    cases = [(complete_graph(3), SplitPartition((0, 1), (2,)))]
+    for density in (0.2, 0.4, 0.7):
+        for _ in range(100):
+            g = split_with_false_twins(rng, rng.randint(2, 36), density, rng.choice((0, 0, 2, 4)))
+            part = split_partition(g)
+            cases.append((g, part))
+            cases += [(g, other) for other in noncanonical_partitions(g, part)]
+    # arbitrary partitions of arbitrary graphs, where the construction can fail
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        vs = rng.sample(range(n), n)
+        a = rng.randint(0, n)
+        cases.append((g, SplitPartition(tuple(sorted(vs[:a])), tuple(sorted(vs[a:])))))
+    outcomes = Counter()
+    for g, part in cases:
+        got = ordering_or_error(good_ordering, g, part)
+        assert got == ordering_or_error(engine_good_ordering, g, part)
+        if isinstance(got, str):
+            outcomes[got] += 1
+            continue
+        outcomes["ordering"] += 1
+        assert got.step_closure == _suffix_closures(g, got.order)
+    assert outcomes["ordering"] >= 300
+    assert all(outcomes[message] for message in (
+        "no low-closure clique vertex available",
+        "no low-degree independent vertex available",
+        "constructed ordering does not certify the weak closure"))
 
 
 def test_trimmed_neighborhoods_star():

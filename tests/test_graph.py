@@ -1,4 +1,6 @@
 import pickle
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +74,43 @@ def test_induced_subgraph_idmap():
     sub2, idmap2 = delete_vertices(g, [0])
     assert idmap2 == (1, 2, 3, 4)
     assert sub2.edges() == [(0, 1), (1, 2), (2, 3)]
+
+
+def edge_list_induced_subgraph(g, keep):
+    # the build induced_subgraph replaced: filter the edge list, renumber,
+    # and run the checked constructor
+    idmap = tuple(sorted(set(keep)))
+    for v in idmap:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range")
+    back = {old: new for new, old in enumerate(idmap)}
+    edges = [(back[u], back[v]) for u, v in g.edges() if u in back and v in back]
+    return Graph(len(idmap), edges), idmap
+
+
+def test_induced_subgraph_matches_edge_list_build():
+    rng = random.Random(211)
+    for _ in range(320):
+        n = rng.randint(0, 30)
+        p = rng.choice((0.1, 0.3, 0.6, 0.9))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        keeps = [[], list(range(n)), [v for v in range(n) if rng.random() < 0.5]]
+        if n:
+            keeps.append([rng.randrange(n) for _ in range(rng.randint(1, 2 * n))])
+        for keep in keeps:
+            sub, idmap = induced_subgraph(g, keep)
+            assert induced_subgraph(g, iter(keep)) == (sub, idmap)
+            ref, ref_map = edge_list_induced_subgraph(g, keep)
+            assert idmap == ref_map
+            assert sub.n == ref.n and sub.m == ref.m
+            assert [sub.neighbors(v) for v in sub.vertices()] == [
+                ref.neighbors(v) for v in ref.vertices()]
+            assert sub.adjacency() == ref.adjacency()
+            assert sub.edges() == ref.edges()
+            assert sub == ref and hash(sub) == hash(ref)
+        bad = rng.choice((-1, n, n + 3))
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            induced_subgraph(g, [*range(0, n, 2), bad])
 
 
 def test_predicates():
