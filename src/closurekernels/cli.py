@@ -298,9 +298,8 @@ def cmd_solve(args) -> int:
     problem_name = args.problem
     inst = _read_instance(args.path)
     problem = _load_problem(args, inst, problem_name)
-    cap_n = args.oracle_cap
     try:
-        res = oracles.solve_exact(problem, max_n=cap_n, max_m=cap_n * (cap_n - 1) // 2)
+        res = oracles.solve_exact(problem, max_n=args.oracle_cap)
     except oracles.OracleCapExceeded as exc:
         raise UsageError(f"instance above the oracle size cap ({exc}); "
                          f"raise --oracle-cap to force the run") from exc

@@ -215,12 +215,12 @@ class ClosureEngine(_MinBuckets):
                 if top < self.lo:
                     self.lo = top
 
-    def peel(self, order: tuple[int, ...] | None = None) -> ClosureOrdering:
-        """Remove every alive vertex, in `order` or else by least closure, ties
-        to the smallest id; record each one's closure just before removal."""
+    def peel(self) -> ClosureOrdering:
+        """Remove every alive vertex by least closure, ties to the smallest
+        id; record each one's closure just before removal."""
         closure, picked, steps = self.closure, [], []
-        for i in range(len(self.alive)):
-            v = self.pop() if order is None else order[i]
+        while self.alive:
+            v = self.pop()
             picked.append(v)
             steps.append(closure[v])
             self.remove(v)

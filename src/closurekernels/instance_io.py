@@ -76,6 +76,10 @@ class IsInstance(Instance):
             raise ValueError("part vector length must equal vertex count")
         super().__post_init__()
 
+    def _renumber(self, changes, kept):
+        parts = changes.get("parts", self.parts)
+        return {**changes, "parts": tuple(parts[v] for v in kept)}
+
     def groups(self) -> list[tuple[int, ...]]:
         """The vertices of each part, parts in index order."""
         groups: dict[int, list[int]] = {}

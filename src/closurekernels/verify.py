@@ -207,10 +207,10 @@ def suite_parameter_engines(trials: int = 5000, seed: int = 0) -> SuiteResult:
 
 
 def _answer(inst) -> bool:
-    """A decision's answer, else the oracle's under the 12/60 size caps."""
+    """A decision's answer, else the oracle's under a 12-vertex cap."""
     if isinstance(inst, Decided):
         return inst.answer
-    return solve_exact(inst, max_n=12, max_m=60).answer
+    return solve_exact(inst, max_n=12).answer
 
 
 class RuleCase(Record):
@@ -358,8 +358,7 @@ def suite_setcover_gadget(trials: int = 200, seed: int = 0) -> SuiteResult:
         family = _random_cover_family(rng, universe, lam, nsets)
         inst = gen_capvc_lowerbound(universe, family, lam, k)
         want = solve_exact_set_cover(universe, family, lam, k).answer
-        got = solve_capvc_exact(inst.graph, inst.cap, inst.k,
-                                max_n=32, max_m=400).answer
+        got = solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=32).answer
         problems = []
         if want != got:
             problems.append(f"gadget answer {got} != set cover answer {want}")
@@ -394,7 +393,7 @@ def suite_composition_patterns() -> SuiteResult:
         instances = [yes if b else no for b in pattern]
         host, budget = gen_is_composition(instances, t, q, k)
         want = any(pattern)
-        got = solve_is_exact(host, budget, max_n=24, max_m=80).answer
+        got = solve_is_exact(host, budget, max_n=24).answer
         if got != want:
             rec.fail(f"pattern {pattern}: host answer {got}, expected {want}",
                      from_problem(IsInstance(host, (0,) * host.n, budget)))

@@ -11,7 +11,6 @@ from closurekernels import closure as closure_module
 from closurekernels.closure import (
     ClosureEngine,
     ClosureOrdering,
-    _suffix_closures,
     closure_number,
     degeneracy,
     exhaustive_weak_closure,
@@ -143,16 +142,6 @@ def test_closure_number_is_one_plus_max_vertex_closure():
 def test_degeneracy_matches_min_scan():
     for g in engine_cases():
         assert degeneracy(g) == naive_degeneracy(g)
-
-
-def test_engine_replay_matches_suffix_closures():
-    rng = random.Random(77)
-    for g in engine_cases():
-        order = list(g.vertices())
-        rng.shuffle(order)
-        replay = ClosureEngine(g).peel(tuple(order))
-        assert replay.step_closure == _suffix_closures(g, tuple(order))
-        assert verify_closure_ordering(g, replay)
 
 
 def fresh_rows(g):

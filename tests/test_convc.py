@@ -259,8 +259,7 @@ def test_closure_route_preserves_oracle_answer():
         k = rng.randint(0, 4)
         reduced, _ = _plain_closure_route(ConVcInstance(g, k))
         before = solve_convc_exact(g, k).answer
-        after = solve_convc_exact(reduced.graph, reduced.k,
-                                  max_n=20, max_m=40).answer
+        after = solve_convc_exact(reduced.graph, reduced.k, max_n=20).answer
         assert before == after, (g.edges(), k)
 
 

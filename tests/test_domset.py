@@ -5,7 +5,12 @@ from collections import Counter
 
 import pytest
 
-from closurekernels.closure import ClosureEngine, _suffix_closures, weak_closure_ordering
+from closurekernels.closure import (
+    ClosureEngine,
+    ClosureOrdering,
+    _suffix_closures,
+    weak_closure_ordering,
+)
 from closurekernels.domset import (
     DsInstance,
     GoodOrderingError,
@@ -115,7 +120,8 @@ def test_good_ordering_certificate_matches_suffix_recompute():
 
 def engine_good_ordering(g, part):
     # the engine-built ordering good_ordering replaced: a ClosureEngine reads
-    # the front's clique closures and a second engine replays the order
+    # the front's clique closures, and the certificate is recomputed suffix
+    # by suffix
     gamma = weak_closure_ordering(g).weak_closure
     cset = set(part.clique)
     iset = set(part.independent)
@@ -140,7 +146,9 @@ def engine_good_ordering(g, part):
         del deg[v]
         for w in g.adj(v) & deg.keys():
             deg[w] -= 1
-    ordering = ClosureEngine(g).peel(tuple(front + back[::-1]))
+    order = tuple(front + back[::-1])
+    steps = _suffix_closures(g, order)
+    ordering = ClosureOrdering(order, steps, 1 + max(steps, default=0))
     if ordering.weak_closure != gamma:
         raise GoodOrderingError("constructed ordering does not certify the weak closure")
     pos = ordering.position()
@@ -296,8 +304,8 @@ def test_dominated_clique_vertex_oracle_equivalence():
         if entry is None:
             continue
         fired += 1
-        before = solve_ds_exact(g, k, max_n=12, max_m=60).answer
-        after = solve_ds_exact(out.graph, out.k, max_n=12, max_m=60).answer
+        before = solve_ds_exact(g, k, max_n=12).answer
+        after = solve_ds_exact(out.graph, out.k, max_n=12).answer
         assert before == after
     assert fired >= 60
 
@@ -332,8 +340,8 @@ def test_dominated_independent_vertex_oracle_equivalence():
         if entry is None:
             continue
         fired += 1
-        before = solve_ds_exact(g, k, max_n=12, max_m=60).answer
-        after = solve_ds_exact(out.graph, out.k, max_n=12, max_m=60).answer
+        before = solve_ds_exact(g, k, max_n=12).answer
+        after = solve_ds_exact(out.graph, out.k, max_n=12).answer
         assert before == after
     assert fired >= 40
 
@@ -392,8 +400,8 @@ def test_sunflower_rule_oracle_equivalence():
         if entry is None:
             continue
         fired += 1
-        before = solve_ds_exact(g, k, max_n=12, max_m=60).answer
-        after = solve_ds_exact(out.graph, out.k, max_n=12, max_m=60).answer
+        before = solve_ds_exact(g, k, max_n=12).answer
+        after = solve_ds_exact(out.graph, out.k, max_n=12).answer
         assert before == after
     assert fired >= 40
 
@@ -451,10 +459,10 @@ def test_clique_side_solution_always_exists():
         if g.n == 0 or any(g.degree(v) == 0 for v in g.vertices()):
             continue
         k = rng.randint(0, 3)
-        if not solve_ds_exact(g, k, max_n=12, max_m=60).answer:
+        if not solve_ds_exact(g, k, max_n=12).answer:
             continue
         part = split_partition(g)
-        res = solve_ds_exact(g, k, max_n=12, max_m=60,
+        res = solve_ds_exact(g, k, max_n=12,
                              forbidden=frozenset(part.independent))
         assert res.answer
         checked += 1
@@ -469,11 +477,11 @@ def test_kernelize_oracle_equivalence():
         k = rng.randint(0, 3)
         out, trace = kernelize_ds_split(DsInstance(g, k))
         fired += len(trace)
-        before = solve_ds_exact(g, k, max_n=12, max_m=60).answer
+        before = solve_ds_exact(g, k, max_n=12).answer
         if isinstance(out, Decided):
             assert out.answer == before
         else:
-            after = solve_ds_exact(out.graph, out.k, max_n=12, max_m=60).answer
+            after = solve_ds_exact(out.graph, out.k, max_n=12).answer
             assert before == after
     assert fired >= 100
 

@@ -61,14 +61,12 @@ class TestCapVcGadget:
         fam = [frozenset({0, 1, 2})]
         inst = gen_capvc_lowerbound(3, fam, 3, 1)
         assert solve_exact_set_cover(3, fam, 3, 1).answer
-        assert solve_capvc_exact(inst.graph, inst.cap, inst.k,
-                                 max_n=40, max_m=200).answer
+        assert solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=40).answer
 
     def test_empty_family_no_both_sides(self):
         inst = gen_capvc_lowerbound(3, [], 3, 1)
         assert solve_exact_set_cover(3, [], 3, 1).answer is False
-        assert solve_capvc_exact(inst.graph, inst.cap, inst.k,
-                                 max_n=40, max_m=200).answer is False
+        assert solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=40).answer is False
 
     def test_overlapping_triples_no_both_sides(self):
         # at k=1 every size-3 set over a 3-element universe is the whole
@@ -76,15 +74,13 @@ class TestCapVcGadget:
         fam = [frozenset({0, 1, 2}), frozenset({2, 3, 4})]
         inst = gen_capvc_lowerbound(6, fam, 3, 2)
         assert solve_exact_set_cover(6, fam, 3, 2).answer is False
-        assert solve_capvc_exact(inst.graph, inst.cap, inst.k,
-                                 max_n=40, max_m=200).answer is False
+        assert solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=40).answer is False
 
     def test_partition_yes_at_k2(self):
         fam = [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
         inst = gen_capvc_lowerbound(6, fam, 3, 2)
         assert solve_exact_set_cover(6, fam, 3, 2).answer
-        assert solve_capvc_exact(inst.graph, inst.cap, inst.k,
-                                 max_n=40, max_m=200).answer
+        assert solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=40).answer
 
     def test_random_cross_oracle_equivalence(self):
         rng = random.Random(17)
@@ -94,8 +90,7 @@ class TestCapVcGadget:
             fam = random_cover_family(rng, 3, k, rng.randint(0, 4))
             inst = gen_capvc_lowerbound(3 * k, fam, 3, k)
             want = solve_exact_set_cover(3 * k, fam, 3, k).answer
-            got = solve_capvc_exact(inst.graph, inst.cap, inst.k,
-                                    max_n=40, max_m=300).answer
+            got = solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=40).answer
             assert got == want
             if want:
                 yes += 1
@@ -165,7 +160,7 @@ class TestComposition:
         for pattern in product([False, True], repeat=4):
             insts = [yes_micro() if p else no_micro() for p in pattern]
             host, kp = gen_is_composition(insts, 2, 2, 1)
-            got = solve_is_exact(host, kp, max_n=20, max_m=60).answer
+            got = solve_is_exact(host, kp, max_n=20).answer
             assert got == any(pattern), pattern
 
     def test_two_layer_composition(self):
@@ -175,10 +170,10 @@ class TestComposition:
         yes2 = (Graph(2, []), [(0,), (1,)])
         host, kp = gen_is_composition([no2] * 4, 2, 2, 2)
         assert kp == 6
-        assert solve_is_exact(host, kp, max_n=20, max_m=80).answer is False
+        assert solve_is_exact(host, kp, max_n=20).answer is False
         insts = [no2, yes2, no2, no2]
         host, kp = gen_is_composition(insts, 2, 2, 2)
-        assert solve_is_exact(host, kp, max_n=20, max_m=80).answer
+        assert solve_is_exact(host, kp, max_n=20).answer
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,14 @@ from closurekernels.graph import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    is_connected_set,
+    is_vertex_cover,
     path_graph,
     star_graph,
 )
 from closurekernels.oracles import (
     OracleCapExceeded,
+    OracleResult,
     capvc_assignment_feasible,
     coc_components_ok,
     is_dominating_set,
@@ -246,10 +249,6 @@ def test_size_cap():
     with pytest.raises(OracleCapExceeded):
         solve_is_exact(big, 2)
     assert solve_is_exact(big, 2, max_n=25).answer
-    dense = complete_graph(8)  # 28 edges > default edge cap
-    with pytest.raises(OracleCapExceeded):
-        solve_ds_exact(dense, 1)
-    assert solve_ds_exact(dense, 1, max_m=30).answer
 
 
 def test_monotone_in_k():
@@ -275,3 +274,270 @@ def test_witnesses_validate():
         r2 = solve_im_exact(g, k)
         if r2.answer:
             assert is_induced_matching(g, r2.witness)
+
+
+# --- the shared searches against the oracles they replaced -------------------
+# Written as the oracles were before `_smallest_set` and `_compatible_set`:
+# one loop or one recursion per problem. Each rewritten oracle must return
+# the same answer, witness and work counters.
+
+def ref_capvc(g, cap, k):
+    if k < 0:
+        return OracleResult(False, stats={"feasibility_checks": 0})
+    edges = g.edges()
+    checks = 0
+    seen_covers = set()
+
+    def branch(chosen, start):
+        nonlocal checks
+        uncovered = None
+        i = start
+        while i < len(edges):
+            u, v = edges[i]
+            if u not in chosen and v not in chosen:
+                uncovered = (u, v)
+                break
+            i += 1
+        if uncovered is None:
+            base = frozenset(chosen)
+            if base in seen_covers:
+                return None
+            seen_covers.add(base)
+            pool = [v for v in g.vertices() if v not in base and cap[v] >= 1 and g.adj(v)]
+            for add in combinations(pool, min(k - len(base), len(pool))):
+                checks += 1
+                s = base | frozenset(add)
+                if ref_feasible(g, s, cap):
+                    return s
+            return None
+        if len(chosen) >= k:
+            return None
+        for w in uncovered:
+            chosen.add(w)
+            got = branch(chosen, i + 1)
+            chosen.remove(w)
+            if got is not None:
+                return got
+        return None
+
+    witness = branch(set(), 0)
+    if witness is not None:
+        return OracleResult(True, witness, {"feasibility_checks": checks})
+    return OracleResult(False, stats={"feasibility_checks": checks})
+
+
+def ref_feasible(g, cover, cap):
+    if not all(u in cover or v in cover for u, v in g.edges()):
+        return False
+    edges = g.edges()
+    cov = sorted(cover)
+    idx = {v: i for i, v in enumerate(cov)}
+    remaining = [max(cap[v], 0) for v in cov]
+    assigned = [None] * len(edges)
+
+    def reroute(e, seen_v):
+        for w in edges[e]:
+            if w not in idx:
+                continue
+            wi = idx[w]
+            if wi == assigned[e] or wi in seen_v:
+                continue
+            seen_v.add(wi)
+            if remaining[wi] > 0:
+                remaining[wi] -= 1
+                assigned[e] = wi
+                return True
+            for e2, a in enumerate(assigned):
+                if a == wi and reroute(e2, seen_v):
+                    assigned[e] = wi
+                    return True
+        return False
+
+    return all(reroute(e, set()) for e in range(len(edges)))
+
+
+def ref_convc(g, k, required=frozenset()):
+    if k < 0:
+        return OracleResult(False, stats={"subsets": 0})
+    verts = list(g.vertices())
+    count = 0
+    for size in range(k + 1):
+        for s in combinations(verts, size):
+            count += 1
+            ss = frozenset(s)
+            if not required <= ss:
+                continue
+            if is_vertex_cover(g, ss) and is_connected_set(g, ss):
+                return OracleResult(True, ss, {"subsets": count})
+    return OracleResult(False, stats={"subsets": count})
+
+
+def ref_ds(g, k, forbidden=frozenset()):
+    if k < 0:
+        return OracleResult(False, stats={"subsets": 0})
+    verts = [v for v in g.vertices() if v not in forbidden]
+    count = 0
+    for size in range(k + 1):
+        for s in combinations(verts, size):
+            count += 1
+            ss = frozenset(s)
+            if is_dominating_set(g, ss):
+                return OracleResult(True, ss, {"subsets": count})
+    return OracleResult(False, stats={"subsets": count})
+
+
+def ref_coc(g, ell, k):
+    if k < 0:
+        return OracleResult(False, stats={"subsets": 0})
+    verts = list(g.vertices())
+    count = 0
+    for size in range(k + 1):
+        for s in combinations(verts, size):
+            count += 1
+            ss = frozenset(s)
+            if is_connected_set(g, ss) and coc_components_ok(g, ss, ell):
+                return OracleResult(True, ss, {"subsets": count})
+    return OracleResult(False, stats={"subsets": count})
+
+
+def ref_is(g, k):
+    if k <= 0:
+        return OracleResult(True, frozenset(), {"nodes": 0})
+    nodes = 0
+
+    def branch(start, chosen):
+        nonlocal nodes
+        nodes += 1
+        if len(chosen) >= k:
+            return frozenset(chosen)
+        if len(chosen) + (g.n - start) < k:
+            return None
+        for v in range(start, g.n):
+            if all(not g.has_edge(v, u) for u in chosen):
+                got = branch(v + 1, chosen + [v])
+                if got is not None:
+                    return got
+        return None
+
+    best = branch(0, [])
+    if best is not None:
+        return OracleResult(True, best, {"nodes": nodes})
+    return OracleResult(False, stats={"nodes": nodes})
+
+
+def ref_im(g, k):
+    if k <= 0:
+        return OracleResult(True, frozenset(), {"nodes": 0})
+    edges = g.edges()
+    nodes = 0
+
+    def conflict(e, f):
+        a, b = e
+        c, d = f
+        return len({a, b, c, d}) < 4 or g.has_edge(a, c) or g.has_edge(a, d) \
+            or g.has_edge(b, c) or g.has_edge(b, d)
+
+    def branch(start, chosen):
+        nonlocal nodes
+        nodes += 1
+        if len(chosen) >= k:
+            return frozenset(chosen)
+        if len(chosen) + (len(edges) - start) < k:
+            return None
+        for i in range(start, len(edges)):
+            e = edges[i]
+            if all(not conflict(e, f) for f in chosen):
+                got = branch(i + 1, chosen + [e])
+                if got is not None:
+                    return got
+        return None
+
+    got = branch(0, [])
+    if got is not None:
+        return OracleResult(True, got, {"nodes": nodes})
+    return OracleResult(False, stats={"nodes": nodes})
+
+
+def seeded_instances(seed, count, max_n):
+    # k runs from -1 to n + 1, so k < 0, k = 0 and k > n all occur
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        g = random_graph(n, rng.choice((0.15, 0.3, 0.5, 0.8)), rng)
+        yield rng, g, rng.randint(-1, n + 1)
+
+
+def same_result(got, want):
+    return (got.answer, got.witness, got.stats) == (want.answer, want.witness, want.stats)
+
+
+def test_is_matches_the_recursive_search():
+    for _, g, k in seeded_instances(401, 3000, 11):
+        assert same_result(solve_is_exact(g, k), ref_is(g, k)), (g.edges(), k)
+
+
+def test_im_matches_the_recursive_search():
+    for _, g, k in seeded_instances(402, 3000, 10):
+        k = min(k, 6)  # an induced matching on 10 vertices has at most 5 edges
+        assert same_result(solve_im_exact(g, k), ref_im(g, k)), (g.edges(), k)
+
+
+def test_convc_matches_its_own_subset_loop():
+    for rng, g, k in seeded_instances(403, 3000, 9):
+        required = frozenset(v for v in g.vertices() if rng.random() < 0.15)
+        assert same_result(solve_convc_exact(g, k, required=required),
+                           ref_convc(g, k, required)), (g.edges(), k, required)
+
+
+def test_ds_matches_its_own_subset_loop():
+    for rng, g, k in seeded_instances(404, 3000, 9):
+        forbidden = frozenset(v for v in g.vertices() if rng.random() < 0.2)
+        assert same_result(solve_ds_exact(g, k, forbidden=forbidden),
+                           ref_ds(g, k, forbidden)), (g.edges(), k, forbidden)
+
+
+def test_coc_matches_its_own_subset_loop():
+    for rng, g, k in seeded_instances(405, 3000, 9):
+        ell = rng.randint(1, 3)
+        assert same_result(solve_coc_exact(g, ell, k), ref_coc(g, ell, k)), (g.edges(), ell, k)
+
+
+def test_capvc_matches_the_recursive_branching():
+    for rng, g, k in seeded_instances(406, 3000, 7):
+        cap = tuple(rng.randint(-1, 3) for _ in g.vertices())
+        assert same_result(solve_capvc_exact(g, cap, k), ref_capvc(g, cap, k)), (g.edges(), cap, k)
+
+
+def test_feasibility_matches_the_recursive_rerouting():
+    rng = random.Random(407)
+    for _ in range(3000):
+        g = random_graph(rng.randint(0, 8), rng.choice((0.3, 0.5, 0.8)), rng)
+        cover = frozenset(v for v in g.vertices() if rng.random() < 0.7)
+        cap = tuple(rng.randint(-1, 3) for _ in g.vertices())
+        assert capvc_assignment_feasible(g, cover, cap) == ref_feasible(g, cover, cap)
+
+
+# --- deep inputs: every search keeps its own stack ---------------------------
+
+def test_is_on_a_deep_edgeless_graph():
+    g = empty_graph(1500)
+    res = solve_is_exact(g, 1500, max_n=2000)
+    assert res.answer and res.witness == frozenset(g.vertices())
+    assert res.stats == {"nodes": 1501}
+
+
+def test_capvc_on_a_long_perfect_matching():
+    m = 1100
+    g = Graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+    res = solve_capvc_exact(g, (1,) * g.n, m, max_n=3000)
+    assert res.answer and res.witness == frozenset(range(0, 2 * m, 2))
+    assert res.stats == {"feasibility_checks": 1}
+
+
+def test_feasibility_reroutes_along_a_long_path():
+    # every edge first meets a full lower endpoint, and the chain of full
+    # vertices below it reaches back to vertex 0, which has no capacity
+    g = path_graph(1500)
+    cap = (0,) + (1,) * (g.n - 1)
+    assert capvc_assignment_feasible(g, frozenset(g.vertices()), cap)
+    assert not capvc_assignment_feasible(g, frozenset(g.vertices()), cap[:-1] + (0,))

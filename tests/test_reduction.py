@@ -119,6 +119,14 @@ def test_without_carries_red_to_the_new_ids():
     assert inst.without([3]).red == frozenset({1})
 
 
+def test_without_carries_parts_to_the_new_ids():
+    inst = IsInstance(Graph(3, [(0, 1)]), (0, 0, 1), 1)
+    assert inst.without([2]) == IsInstance(Graph(2, [(0, 1)]), (0, 0), 1)
+    assert inst.without([0]) == IsInstance(Graph(2), (0, 1), 1)
+    # changes name vertices in the numbering before the deletion
+    assert inst.without([1], parts=(4, 5, 6), k=2) == IsInstance(Graph(2), (4, 6), 2)
+
+
 def test_without_keeps_the_class_and_other_fields():
     g = path_graph(5)
     for inst in (ConVcInstance(g, 2), CocInstance(g, 3, 2), ImInstance(g, 2), DsInstance(g, 2)):
@@ -133,6 +141,7 @@ def test_without_keeps_the_class_and_other_fields():
     CocInstance(path_graph(3), 1, 1),
     ImInstance(path_graph(3), 1),
     DsInstance(path_graph(3), 1),
+    IsInstance(path_graph(3), (0, 0, 0), 1),
 ], ids=lambda inst: type(inst).__name__)
 def test_without_validates_again(inst):
     with pytest.raises(ValueError, match="budget must be nonnegative"):
