@@ -292,28 +292,39 @@ def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques via pivoting recursion, as sorted tuples.
+    """All maximal cliques via pivoting Bron–Kerbosch, as sorted tuples.
 
-    Output order is deterministic (sorted lexicographically at the end).
-    The single empty clique is reported for the empty graph.
+    The search keeps its open nodes on an explicit stack, so a clique of
+    any size needs no recursion. Output order is deterministic (sorted
+    lexicographically at the end). The single empty clique is reported for
+    the empty graph.
     """
     if g.n == 0:
         return [()]
     out: list[tuple[int, ...]] = []
     adj = g._sets
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
+    def node(r: tuple[int, ...], p: set[int], x: set[int]):
         # pivot: vertex of p|x maximizing |p & N(u)|, ties by smallest id
         pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+        return r, p, x, iter(sorted(p - adj[pivot]))
 
-    expand(set(), set(g.vertices()), set())
+    stack = [node((), set(g.vertices()), set())]
+    while stack:
+        r, p, x, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        child_p, child_x = p & adj[v], x & adj[v]
+        p.remove(v)
+        x.add(v)
+        # with no candidates left, r + v is maximal unless an excluded
+        # vertex extends it
+        if child_p:
+            stack.append(node(r + (v,), child_p, child_x))
+        elif not child_x:
+            out.append(tuple(sorted(r + (v,))))
     return sorted(out)
 
 

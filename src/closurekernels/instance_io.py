@@ -12,13 +12,17 @@ Kinds: graph, capvc, convc, coc, im, ds, is. The ell field is present
 exactly for coc. Vertex labels are arbitrary nonnegative integers; they
 are mapped to dense ids 0..n-1 in ascending label order and the label
 table is kept on the parsed instance, so writing parses back to the same
-structure. When fewer than n labels are mentioned, the unmentioned
-vertices take the unused integers in 0..n-1, which is only possible while
-labels stay in range.
+structure. An `InstanceFile`'s label table must therefore strictly ascend:
+id order is label order, and the writer relies on it to emit edges in
+label order straight from the neighbour tuples. When fewer than n labels
+are mentioned, the unmentioned vertices take the unused integers in
+0..n-1, which is only possible while labels stay in range.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from operator import lt
 
 from .graph import Graph, Record
 from .reduction import Instance
@@ -53,6 +57,8 @@ class InstanceFile(Record):
             object.__setattr__(self, "labels", tuple(range(self.graph.n)))
         if len(self.labels) != self.graph.n:
             raise ValueError("label table length must equal vertex count")
+        if not all(map(lt, self.labels, self.labels[1:])):
+            raise ValueError("labels must strictly ascend")
         if (self.ell is not None) != (self.kind == "coc"):
             raise ValueError("ell is present exactly for coc instances")
         if self.cap is not None and len(self.cap) != self.graph.n:
@@ -100,7 +106,8 @@ def parse_instance(text: str) -> InstanceFile:
     caps: dict[int, tuple[int, int]] = {}
     reds: dict[int, int] = {}
     parts: dict[int, tuple[int, int]] = {}
-    edge_labels: list[tuple[int, int, int]] = []
+    tails: list[int] = []
+    heads: list[int] = []
     mentioned: set[int] = set()
     lines = text.splitlines()
 
@@ -116,6 +123,16 @@ def parse_instance(text: str) -> InstanceFile:
 
     for line_no, raw in enumerate(lines, start=1):
         toks = raw.split()
+        # a well-formed edge after the header; every other line, malformed
+        # edges included, goes through the checks below
+        if len(toks) == 3 and toks[0] == "e" and header is not None:
+            a, b = toks[1], toks[2]
+            if a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
+                u, v = int(a), int(b)
+                if u != v:
+                    tails.append(u)
+                    heads.append(v)
+                    continue
         if not toks or toks[0] == "c":
             continue
         tag = toks[0]
@@ -145,12 +162,10 @@ def parse_instance(text: str) -> InstanceFile:
         if tag == "e":
             if len(toks) != 3:
                 bail(line_no, 0, "edge needs: e u v")
-            u = intval(toks, 1, line_no, "endpoint")
-            v = intval(toks, 2, line_no, "endpoint")
-            if u == v:
-                bail(line_no, 1, "self-loop")
-            edge_labels.append((u, v, line_no))
-            mentioned.update((u, v))
+            # well-formed edges took the branch above, so one check fails
+            intval(toks, 1, line_no, "endpoint")
+            intval(toks, 2, line_no, "endpoint")
+            bail(line_no, 1, "self-loop")
         elif tag == "cap":
             if kind != "capvc":
                 bail(line_no, 0, "cap only allowed for capvc")
@@ -188,6 +203,8 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError(1, 1, "missing header")
     kind, n, m, k, ell, hdr_line = header
 
+    mentioned.update(tails)
+    mentioned.update(heads)
     if len(mentioned) > n:
         bail(hdr_line, 2, f"{len(mentioned)} labels mentioned but n={n}")
     if mentioned and max(mentioned) >= n and len(mentioned) < n:
@@ -199,17 +216,16 @@ def parse_instance(text: str) -> InstanceFile:
         labels = sorted(mentioned)
     dense = {lab: i for i, lab in enumerate(labels)}
 
-    edges = []
-    seen_pairs = set()
-    for u, v, line_no in edge_labels:
-        pair = (min(u, v), max(u, v))
-        if pair in seen_pairs:
-            bail(line_no, 0, f"duplicate edge {pair}")
-        seen_pairs.add(pair)
-        edges.append((dense[u], dense[v]))
-    g = Graph(n, edges)
-    if g.m != m:
-        bail(hdr_line, 3, f"header says m={m} but {g.m} edges given")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in zip(map(dense.__getitem__, tails), map(dense.__getitem__, heads)):
+        adj[u].add(v)
+        adj[v].add(u)
+    if sum(map(len, adj)) != 2 * len(tails):
+        line_no, pair = _first_repeated_edge(lines, tails, heads)
+        bail(line_no, 0, f"duplicate edge {pair}")
+    if len(tails) != m:
+        bail(hdr_line, 3, f"header says m={m} but {len(tails)} edges given")
+    g = Graph._from_neighbors([tuple(sorted(s)) for s in adj])
 
     cap = None
     if kind == "capvc":
@@ -227,8 +243,23 @@ def parse_instance(text: str) -> InstanceFile:
     return InstanceFile(kind, g, k, ell, cap, red, part_vec, tuple(labels))
 
 
+def _first_repeated_edge(lines: list[str], tails: list[int],
+                         heads: list[int]) -> tuple[int, tuple[int, int]]:
+    """The line of the first edge that repeats an earlier one, and its label
+    pair. Every edge line of a file that got this far is well formed, so
+    the i-th line tagged `e` holds the i-th edge."""
+    edge_lines = (i for i, raw in enumerate(lines, start=1) if raw.split()[:1] == ["e"])
+    seen = set()
+    for u, v, line_no in zip(tails, heads, edge_lines):
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            return line_no, pair
+        seen.add(pair)
+    raise AssertionError("no repeated edge")
+
+
 def write_instance(inst: InstanceFile) -> str:
-    lab = inst.labels
+    lab = list(map(str, inst.labels))
     out = []
     head = f"p {inst.kind} {inst.graph.n} {inst.graph.m} {inst.k}"
     if inst.ell is not None:
@@ -242,9 +273,12 @@ def write_instance(inst: InstanceFile) -> str:
     if inst.parts is not None:
         for v in inst.graph.vertices():
             out.append(f"part {lab[v]} {inst.parts[v]}")
-    for u, v in sorted((min(lab[a], lab[b]), max(lab[a], lab[b]))
-                       for a, b in inst.graph.edges()):
-        out.append(f"e {u} {v}")
+    # labels ascend with ids, so edges (u, v), u < v, in id order are in
+    # label order
+    for u in inst.graph.vertices():
+        nb = inst.graph.neighbors(u)
+        tag = "e " + lab[u] + " "
+        out += [tag + lab[v] for v in nb[bisect_right(nb, u):]]
     return "\n".join(out) + "\n"
 
 

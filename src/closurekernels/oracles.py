@@ -246,28 +246,6 @@ def solve_is_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:
     return OracleResult(False, stats={"nodes": nodes})
 
 
-def maximum_independent_set(g: Graph) -> frozenset[int]:
-    """Largest independent set, deterministic, for desk-scale graphs."""
-    best: list[int] = []
-
-    def branch(start: int, chosen: list[int]) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(chosen) + (g.n - start) <= len(best):
-            return
-        for v in range(start, g.n):
-            if all(not g.has_edge(v, u) for u in chosen):
-                branch(v + 1, chosen + [v])
-
-    branch(0, [])
-    return frozenset(best)
-
-
-def minimum_vertex_cover(g: Graph) -> frozenset[int]:
-    return frozenset(g.vertices()) - maximum_independent_set(g)
-
-
 # ---------------------------------------------------------------------------
 # induced matching
 

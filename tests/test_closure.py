@@ -33,7 +33,7 @@ from closurekernels.graph import (
 )
 from closurekernels.induced_matching import ImInstance, kernelize_im
 from closurekernels.instance_io import InstanceFile, write_instance
-from closurekernels.oracles import minimum_vertex_cover
+from closurekernels.oracles import solve_is_exact
 from closurekernels.reduction import Decided
 
 
@@ -404,7 +404,9 @@ def test_class_bound_dominates_reality():
     for _ in range(60):
         n = rng.randint(2, 10)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), rng)
-        cover = minimum_vertex_cover(g)
+        # a smallest cover: the complement of a largest independent set
+        alpha = next(a for a in range(n + 1) if not solve_is_exact(g, a + 1).answer)
+        cover = frozenset(g.vertices()) - solve_is_exact(g, alpha).witness
         o = weak_closure_ordering(g)
         n_classes = Counter(g.adj(v) for v in g.vertices() if v not in cover)
         size_i = g.n - len(cover)

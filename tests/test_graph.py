@@ -1,5 +1,7 @@
+import inspect
 import pickle
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -139,6 +141,47 @@ def test_maximal_cliques_pivoting():
     assert maximal_cliques(empty_graph(3)) == [(0,), (1,), (2,)]
     assert maximal_cliques(empty_graph(0)) == [()]
     assert clique_number(complete_graph(5)) == 5
+
+
+def recursive_maximal_cliques(g):
+    """Reference: the pivoting Bron–Kerbosch recursion that `maximal_cliques`
+    replaced."""
+    if g.n == 0:
+        return [()]
+    out = []
+    adj = g.adjacency()
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(tuple(sorted(r)))
+            return
+        pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
+        for v in sorted(p - adj[pivot]):
+            expand(r | {v}, p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    expand(set(), set(g.vertices()), set())
+    return sorted(out)
+
+
+def test_maximal_cliques_match_the_recursion():
+    rng = random.Random(61)
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        p = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        assert maximal_cliques(g) == recursive_maximal_cliques(g)
+
+
+def test_maximal_cliques_on_a_deep_clique():
+    g = complete_graph(150)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        assert maximal_cliques(g) == [tuple(range(150))]
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_biclique_search():

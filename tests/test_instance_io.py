@@ -1,4 +1,7 @@
 """Tests for the instance file format."""
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +11,11 @@ from closurekernels.domset import DsInstance
 from closurekernels.graph import Graph
 from closurekernels.induced_matching import ImInstance
 from closurekernels.instance_io import (
+    KINDS,
     InstanceFile,
     IsInstance,
     ParseError,
+    _column,
     from_problem,
     parse_instance,
     to_problem,
@@ -179,6 +184,13 @@ class TestProblemBridge:
         with pytest.raises(TypeError):
             from_problem(object())
 
+    def test_labels_must_strictly_ascend(self):
+        g = Graph(3, [(0, 1)])
+        for labels in ((1, 0, 2), (0, 0, 1), (4, 5, 5)):
+            with pytest.raises(ValueError, match="labels must strictly ascend"):
+                InstanceFile("graph", g, 0, labels=labels)
+        assert InstanceFile("graph", g, 0, labels=(0, 4, 5)).labels == (0, 4, 5)
+
 
 # One valid file of every kind, each line kind among them: header, comment,
 # blank, cap, red, part and edge lines.
@@ -220,3 +232,259 @@ def test_mutated_files_parse_or_raise_parse_error(text, edits):
         parse_instance(_apply_edits(text, edits))
     except ParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the parser and writer against the ones they replaced
+
+def reference_parse_instance(text):
+    """The parser that checks every edge line token by token and builds the
+    graph through the checked `Graph` constructor."""
+    header = None
+    caps: dict[int, tuple[int, int]] = {}
+    reds: dict[int, int] = {}
+    parts: dict[int, tuple[int, int]] = {}
+    edge_labels: list[tuple[int, int, int]] = []
+    mentioned: set[int] = set()
+    lines = text.splitlines()
+
+    def bail(line_no: int, i: int, msg: str):
+        """Raise at the i-th token of line line_no."""
+        raise ParseError(line_no, _column(lines[line_no - 1], i), msg)
+
+    def intval(toks: list[str], i: int, line_no: int, what: str) -> int:
+        tok = toks[i]
+        if not (tok.isascii() and tok.isdigit()):
+            bail(line_no, i, f"{what} must be a nonnegative integer, got {tok!r}")
+        return int(tok)
+
+    for line_no, raw in enumerate(lines, start=1):
+        toks = raw.split()
+        if not toks or toks[0] == "c":
+            continue
+        tag = toks[0]
+        if tag == "p":
+            if header is not None:
+                bail(line_no, 0, "duplicate header")
+            if len(toks) not in (5, 6):
+                bail(line_no, 0, "header needs: p kind n m k [ell]")
+            kind = toks[1]
+            if kind not in KINDS:
+                bail(line_no, 1, f"unknown kind {kind!r}")
+            n = intval(toks, 2, line_no, "n")
+            m = intval(toks, 3, line_no, "m")
+            k = intval(toks, 4, line_no, "k")
+            ell = None
+            if len(toks) == 6:
+                if kind != "coc":
+                    bail(line_no, 5, "ell only allowed for coc")
+                ell = intval(toks, 5, line_no, "ell")
+            elif kind == "coc":
+                bail(line_no, 0, "coc header needs ell")
+            header = (kind, n, m, k, ell, line_no)
+            continue
+        if header is None:
+            bail(line_no, 0, "record before header")
+        kind = header[0]
+        if tag == "e":
+            if len(toks) != 3:
+                bail(line_no, 0, "edge needs: e u v")
+            u = intval(toks, 1, line_no, "endpoint")
+            v = intval(toks, 2, line_no, "endpoint")
+            if u == v:
+                bail(line_no, 1, "self-loop")
+            edge_labels.append((u, v, line_no))
+            mentioned.update((u, v))
+        elif tag == "cap":
+            if kind != "capvc":
+                bail(line_no, 0, "cap only allowed for capvc")
+            if len(toks) != 3:
+                bail(line_no, 0, "capacity needs: cap v x")
+            v = intval(toks, 1, line_no, "vertex")
+            x = intval(toks, 2, line_no, "capacity")
+            if v in caps:
+                bail(line_no, 1, f"duplicate capacity for {v}")
+            caps[v] = (x, line_no)
+            mentioned.add(v)
+        elif tag == "red":
+            if kind != "convc":
+                bail(line_no, 0, "red only allowed for convc")
+            if len(toks) != 2:
+                bail(line_no, 0, "red needs: red v")
+            v = intval(toks, 1, line_no, "vertex")
+            reds[v] = line_no
+            mentioned.add(v)
+        elif tag == "part":
+            if kind != "is":
+                bail(line_no, 0, "part only allowed for is")
+            if len(toks) != 3:
+                bail(line_no, 0, "part needs: part v i")
+            v = intval(toks, 1, line_no, "vertex")
+            i = intval(toks, 2, line_no, "part index")
+            if v in parts:
+                bail(line_no, 1, f"duplicate part for {v}")
+            parts[v] = (i, line_no)
+            mentioned.add(v)
+        else:
+            bail(line_no, 0, f"unknown record {tag!r}")
+
+    if header is None:
+        raise ParseError(1, 1, "missing header")
+    kind, n, m, k, ell, hdr_line = header
+
+    if len(mentioned) > n:
+        bail(hdr_line, 2, f"{len(mentioned)} labels mentioned but n={n}")
+    if mentioned and max(mentioned) >= n and len(mentioned) < n:
+        bail(hdr_line, 2, "out-of-range labels combined with unmentioned vertices")
+    if len(mentioned) < n:
+        spare = [x for x in range(n) if x not in mentioned]
+        labels = sorted(mentioned | set(spare[:n - len(mentioned)]))
+    else:
+        labels = sorted(mentioned)
+    dense = {lab: i for i, lab in enumerate(labels)}
+
+    edges = []
+    seen_pairs = set()
+    for u, v, line_no in edge_labels:
+        pair = (min(u, v), max(u, v))
+        if pair in seen_pairs:
+            bail(line_no, 0, f"duplicate edge {pair}")
+        seen_pairs.add(pair)
+        edges.append((dense[u], dense[v]))
+    g = Graph(n, edges)
+    if g.m != m:
+        bail(hdr_line, 3, f"header says m={m} but {g.m} edges given")
+
+    cap = None
+    if kind == "capvc":
+        vec = [0] * n
+        for v, (x, _line) in caps.items():
+            vec[dense[v]] = x
+        cap = tuple(vec)
+    red = tuple(sorted(dense[v] for v in reds))
+    part_vec = None
+    if kind == "is":
+        vec = [0] * n
+        for v, (i, _line) in parts.items():
+            vec[dense[v]] = i
+        part_vec = tuple(vec)
+    return InstanceFile(kind, g, k, ell, cap, red, part_vec, tuple(labels))
+
+
+def reference_write_instance(inst):
+    """The writer that sorts the edge list by label pair."""
+    lab = inst.labels
+    out = []
+    head = f"p {inst.kind} {inst.graph.n} {inst.graph.m} {inst.k}"
+    if inst.ell is not None:
+        head += f" {inst.ell}"
+    out.append(head)
+    if inst.cap is not None:
+        for v in inst.graph.vertices():
+            out.append(f"cap {lab[v]} {inst.cap[v]}")
+    for v in inst.red:
+        out.append(f"red {lab[v]}")
+    if inst.parts is not None:
+        for v in inst.graph.vertices():
+            out.append(f"part {lab[v]} {inst.parts[v]}")
+    for u, v in sorted((min(lab[a], lab[b]), max(lab[a], lab[b]))
+                       for a, b in inst.graph.edges()):
+        out.append(f"e {u} {v}")
+    return "\n".join(out) + "\n"
+
+
+_WHITESPACE = [" ", "\t", "\u3000", "\xa0", "\x1f", "\x0b", "\x1c", "\u2028", "\x85"]
+_TOKENS = ["0", "1", "2", "3", "7", "01", "10", "99", "-1", "+1", "e", "p", "c", "cap", "red",
+           "part", "x", "\u00b2", "\u0661", "\uff10", *KINDS]
+
+
+def _random_file(rng):
+    """A valid file of a random kind, sparse labels, and comment and blank lines."""
+    n = rng.randint(0, 9)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()])
+    labels = sorted(rng.sample(range(3 * n + 2), n)) if rng.random() < 0.5 else range(n)
+    kind = rng.choice(KINDS)
+    inst = InstanceFile(kind, g, rng.randint(0, 5), ell=2 if kind == "coc" else None,
+                        cap=tuple(rng.randint(0, 3) for _ in range(n)) if kind == "capvc" else None,
+                        red=tuple(v for v in range(n) if rng.random() < 0.3) if kind == "convc" else (),
+                        parts=tuple(rng.randint(0, 2) for _ in range(n)) if kind == "is" else None,
+                        labels=tuple(labels))
+    lines = write_instance(inst).splitlines()
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "c note", "  c 1 2"]))
+    return "\n".join(lines) + "\n"
+
+
+def _mutate(text, rng):
+    """One random edit: a character, a token, a whole line, or line endings."""
+    lines = text.split("\n")
+    op = rng.randrange(9)
+    i = rng.randrange(len(lines))
+    toks = lines[i].split(" ")
+    if op == 0:
+        pos = rng.randint(0, len(text))
+        ch = rng.choice(list("0123456789 \n\r-+pecx") + _WHITESPACE)
+        return text[:pos] + ch + text[pos + rng.randint(0, 1):]
+    if op == 1:
+        toks[rng.randrange(len(toks))] = rng.choice(_TOKENS)
+    elif op == 2:
+        toks.insert(rng.randint(0, len(toks)), rng.choice(_TOKENS))
+    elif op == 3:
+        del toks[rng.randrange(len(toks))]
+    elif op == 4:
+        if toks[0] == "e" and len(toks) == 3:
+            toks[1:] = rng.choice([[toks[2], toks[1]], [toks[1], toks[1]], [toks[2], toks[2]]])
+        else:
+            toks = ["e", str(rng.randint(0, 12)), str(rng.randint(0, 12))]
+    elif op == 5:
+        lines.insert(rng.randint(0, len(lines)), lines[i])
+    elif op == 6:
+        del lines[i]
+    elif op == 7:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        return text.replace("\n", rng.choice(["\r\n", "\r", "\n\n"]))
+    if op <= 4:
+        lines[i] = rng.choice(_WHITESPACE[:3]).join(toks)
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    try:
+        inst = parse(text)
+    except ParseError as err:
+        return "error", err.line, err.col, err.message
+    return "ok", inst, [inst.graph.neighbors(v) for v in inst.graph.vertices()], inst.graph.m
+
+
+def test_parser_matches_the_reference_on_mutated_files():
+    rng = random.Random(1601)
+    seen = set()
+    for trial in range(20000):
+        text = rng.choice(VALID_FILES) if trial % 4 == 0 else _random_file(rng)
+        for _ in range(rng.randint(0, 3)):
+            text = _mutate(text, rng)
+        got = _outcome(parse_instance, text)
+        assert got == _outcome(reference_parse_instance, text), text
+        seen.add(got[0] if got[0] == "ok" else " ".join(got[3].split(" ")[:2]))
+    # the files reach both outcomes, the edge line's own errors and those of
+    # the checks after the loop
+    assert {"ok", "endpoint must", "self-loop", "out-of-range labels", "duplicate edge",
+            "header says"} <= seen
+
+
+def test_writer_matches_the_reference_on_random_files():
+    rng = random.Random(1602)
+    for _ in range(10000):
+        n = rng.randint(0, 12)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()])
+        labels = sorted(rng.sample(range(rng.randint(n, 4 * n + 3)), n))
+        kind = rng.choice(KINDS)
+        inst = InstanceFile(
+            kind, g, rng.randint(0, 20), ell=rng.randint(0, 4) if kind == "coc" else None,
+            cap=tuple(rng.randint(0, 5) for _ in range(n)) if rng.random() < 0.3 else None,
+            red=tuple(v for v in range(n) if rng.random() < 0.2),
+            parts=tuple(rng.randint(0, 3) for _ in range(n)) if rng.random() < 0.3 else None,
+            labels=tuple(labels))
+        assert write_instance(inst) == reference_write_instance(inst)
