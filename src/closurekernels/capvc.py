@@ -10,12 +10,13 @@ negative-capacity vertex can never take an edge.
 from __future__ import annotations
 
 from .closure import cover_class_report
-from .graph import Graph
+from .graph import Graph, twin_classes
 from .reduction import Instance, exhaust
 
 
 class CapVcInstance(Instance):
     file_kind = "capvc"
+    vertex_fields = ("cap",)
     __slots__ = ("graph", "cap", "k")
     graph: Graph
     cap: tuple[int, ...]
@@ -25,18 +26,6 @@ class CapVcInstance(Instance):
         if len(self.cap) != self.graph.n:
             raise ValueError("capacity vector length must equal vertex count")
         super().__post_init__()
-
-    def _renumber(self, changes, kept):
-        cap = changes.get("cap", self.cap)
-        return {**changes, "cap": tuple(cap[v] for v in kept)}
-
-
-def twin_classes(g: Graph) -> list[tuple[int, ...]]:
-    """Vertices grouped by open neighborhood; classes sorted by first member."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in g.vertices():
-        groups.setdefault(g.adj(v), []).append(v)
-    return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda t: t[0])
 
 
 def twin_crown_rule(inst: CapVcInstance) -> tuple[CapVcInstance, dict | None]:

@@ -18,8 +18,8 @@ Each call loads only the modules its route runs. The problem modules
 `generators` are registered lazily and run their code on first attribute
 access. params loads no problem module; kernel and solve load the one of
 their problem (and what it imports), solve adds `oracles`, generate adds
-`generators`, and only verify loads `verify` (with `ramsey` and
-`subprocess`).
+`generators` (and with --kind the wrapped problem's module), and only
+verify loads `verify` (with `ramsey` and `subprocess`).
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ import sys
 from itertools import combinations
 
 from .closure import closure_number, degeneracy, weak_closure_ordering
-from .graph import (
-    Graph,
-    clique_number,
-    is_connected_set,
-    is_independent_set,
-    is_vertex_cover,
-)
+from .graph import Graph, clique_number
 from .instance_io import (
     InstanceFile,
     ParseError,
@@ -169,14 +163,7 @@ def cmd_params(args) -> int:
 
 
 def _instance_facts(problem) -> dict:
-    facts = {"n": problem.graph.n, "m": problem.graph.m, "k": problem.k}
-    if hasattr(problem, "cap"):
-        facts["cap"] = list(problem.cap)
-    if hasattr(problem, "red"):
-        facts["red"] = sorted(problem.red)
-    if hasattr(problem, "ell"):
-        facts["ell"] = problem.ell
-    return facts
+    return {"n": problem.graph.n, "m": problem.graph.m, "k": problem.k, **problem.fields()}
 
 
 def cmd_kernel(args) -> int:
@@ -257,47 +244,23 @@ def cmd_kernel(args) -> int:
 # solve
 
 
-def _validated_witness(problem_name: str, problem, witness, labels) -> list[str]:
-    """Re-check the oracle's witness with independent predicates.
+def _validated_witness(problem, witness, labels) -> list[str]:
+    """Re-check the oracle's witness with `oracles.is_solution`.
 
     Returns the witness file lines, naming vertices by their input labels.
     Raises RuntimeError when validation fails, which would mean an oracle bug
     rather than bad input.
     """
-    if problem_name == "im":
-        edges = sorted(witness)
-        if not oracles.is_induced_matching(problem.graph, edges) or len(edges) < problem.k:
-            raise RuntimeError("witness failed validation")
-        return [f"e {labels[u]} {labels[v]}" for u, v in edges]
-    g = problem.graph
-    chosen = sorted(witness)
-    if problem_name == "is":
-        parts = problem.groups()
-        colored = len(parts) > 1
-        enough = len(chosen) == len(parts) if colored else len(chosen) >= problem.k
-        if not (is_independent_set(g, chosen) and enough):
-            raise RuntimeError("witness failed validation")
-        return [f"v {labels[v]}" for v in chosen]
-    ok = {
-        "capvc": lambda: oracles.capvc_assignment_feasible(g, frozenset(chosen), problem.cap)
-        and len(chosen) <= problem.k,
-        "convc": lambda: is_vertex_cover(g, chosen) and is_connected_set(g, chosen)
-        and len(chosen) <= problem.k
-        and getattr(problem, "red", frozenset()) <= set(chosen),
-        "coc": lambda: is_connected_set(g, frozenset(chosen))
-        and oracles.coc_components_ok(g, frozenset(chosen), problem.ell)
-        and len(chosen) <= problem.k,
-        "ds": lambda: oracles.is_dominating_set(g, chosen) and len(chosen) <= problem.k,
-    }[problem_name]
-    if not ok():
+    if not oracles.is_solution(problem, witness):
         raise RuntimeError("witness failed validation")
-    return [f"v {labels[v]}" for v in chosen]
+    if problem.file_kind == "im":
+        return [f"e {labels[u]} {labels[v]}" for u, v in sorted(witness)]
+    return [f"v {labels[v]}" for v in sorted(witness)]
 
 
 def cmd_solve(args) -> int:
-    problem_name = args.problem
     inst = _read_instance(args.path)
-    problem = _load_problem(args, inst, problem_name)
+    problem = _load_problem(args, inst, args.problem)
     try:
         res = oracles.solve_exact(problem, max_n=args.oracle_cap)
     except oracles.OracleCapExceeded as exc:
@@ -308,7 +271,7 @@ def cmd_solve(args) -> int:
     # write leaves stdout empty
     lines = None
     if res.answer and res.witness is not None:
-        lines = _validated_witness(problem_name, problem, res.witness, inst.labels)
+        lines = _validated_witness(problem, res.witness, inst.labels)
         if args.witness is not None:
             _write_file(args.witness, "c validated witness\n" + "\n".join(lines) + "\n")
     print(f"answer: {'yes' if res.answer else 'no'}")
@@ -322,6 +285,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise UsageError(f"--trials must be positive, got {args.trials}")
     names = args.suite or list(verify_mod.SUITES)
     for name in names:
         if name not in verify_mod.SUITES:
@@ -353,8 +318,14 @@ def cmd_verify(args) -> int:
 # generate
 
 
-def _random_triples(universe: int, count: int, seed: int) -> list[frozenset[int]]:
+def _random_triples(universe: int, count: int | None, seed: int) -> list[frozenset[int]]:
+    """`count` shuffled 3-sets of range(universe); None means 2k + 1, k = universe / 3."""
     pool = [frozenset(s) for s in combinations(range(universe), 3)]
+    if count is None:
+        count = 2 * universe // 3 + 1
+    elif not 0 <= count <= len(pool):
+        raise UsageError(f"--sets must be between 0 and {len(pool)}, the number of "
+                         f"3-sets of a {universe}-element universe, got {count}")
     rng = random.Random(f"generate:capvc-hard:{universe}:{count}:{seed}")
     rng.shuffle(pool)
     return pool[:count]
@@ -371,8 +342,7 @@ def cmd_generate(args) -> int:
     elif family == "k-ab":
         out = from_problem(generators.gen_k_ab(args.a, args.b))
     elif family == "capvc-hard":
-        count = args.sets if args.sets is not None else 2 * args.k + 1
-        fam = _random_triples(3 * args.k, count, args.seed)
+        fam = _random_triples(3 * args.k, args.sets, args.seed)
         out = from_problem(generators.gen_capvc_lowerbound(3 * args.k, fam, 3, args.k))
     elif family == "is-grid":
         size = args.t ** args.q
@@ -389,10 +359,15 @@ def cmd_generate(args) -> int:
     if args.kind is not None:
         if out.kind != "graph":
             raise UsageError("--kind only applies to plain graph families")
+        ell = None
         if args.kind == "coc":
-            out = InstanceFile(kind="coc", graph=out.graph, k=args.k, ell=args.ell or 2)
-        else:
-            out = InstanceFile(kind=args.kind, graph=out.graph, k=args.k)
+            ell = 2 if args.ell is None else args.ell
+        out = InstanceFile(kind=args.kind, graph=out.graph, k=args.k, ell=ell)
+        try:
+            to_problem(out)
+        except ValueError as exc:
+            flags = f"--k {args.k}" + (f" --ell {ell}" if ell is not None else "")
+            raise UsageError(f"--kind {args.kind} with {flags}: {exc}") from exc
     _emit(write_instance(out), args.out)
     return 0
 
@@ -465,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1,
                    help="capvc-hard cover count, or the wrapped budget")
     p.add_argument("--sets", type=int, default=None,
-                   help="capvc-hard family size (default 2k+1)")
+                   help="capvc-hard family size, 0 to C(3k, 3) (default 2k+1)")
     p.add_argument("--pattern", default=None,
                    help="is-grid yes/no bits, one per micro instance")
     p.add_argument("--ell", type=int, default=None, help="component bound for --kind coc")

@@ -207,16 +207,18 @@ def find_sunflower(family: list[frozenset[int]], k: int) -> Sunflower | None:
 
     Either a maximal pairwise-disjoint collection reaches k (core is the
     accumulated popular elements), or the most frequent element is folded
-    into the core and the sets containing it recurse. Guaranteed to succeed
-    whenever |family| >= sunflower_guarantee(max_size, k); may also succeed
-    below.
+    into the core and the search repeats on the sets containing it.
+    Guaranteed to succeed whenever |family| >= sunflower_guarantee(max_size,
+    k); may also succeed below.
     Duplicate sets are distinct members; identical sets pair into a valid
     sunflower (core = the set itself, empty petals).
     """
     if k <= 0:
         raise ValueError("sunflower size must be positive")
-
-    def recurse(indices: list[int], sets: dict[int, frozenset[int]], core: frozenset[int]) -> Sunflower | None:
+    indices = list(range(len(family)))
+    sets = dict(enumerate(family))
+    core: frozenset[int] = frozenset()
+    while True:
         # greedy maximal pairwise-disjoint collection, scanned in index order
         chosen: list[int] = []
         occupied: set[int] = set()
@@ -225,7 +227,7 @@ def find_sunflower(family: list[frozenset[int]], k: int) -> Sunflower | None:
                 chosen.append(i)
                 occupied |= sets[i]
         if len(chosen) >= k:
-            return Sunflower(core, tuple(chosen[:k]))
+            break
         if not occupied:
             return None  # every reduced set empty but fewer than k members
         counts: dict[int, int] = {}
@@ -233,14 +235,13 @@ def find_sunflower(family: list[frozenset[int]], k: int) -> Sunflower | None:
             for x in sets[i]:
                 counts[x] = counts.get(x, 0) + 1
         popular = max(sorted(counts), key=lambda x: counts[x])
-        sub = [i for i in indices if popular in sets[i]]
-        if len(sub) < k:
+        indices = [i for i in indices if popular in sets[i]]
+        if len(indices) < k:
             return None
-        return recurse(sub, {i: sets[i] - {popular} for i in sub}, core | {popular})
-
-    got = recurse(list(range(len(family))), dict(enumerate(family)), frozenset())
-    if got is not None:
-        assert validate_sunflower(family, got)
+        sets = {i: sets[i] - {popular} for i in indices}
+        core |= {popular}
+    got = Sunflower(core, tuple(chosen[:k]))
+    assert validate_sunflower(family, got)
     return got
 
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .capvc import twin_classes
 from .closure import closure_number, cover_class_report
-from .graph import Graph, connected_components, is_clique
+from .graph import Graph, connected_components, is_clique, twin_classes
 from .reduction import Decided, Instance, exhaust
 
 
@@ -29,6 +28,7 @@ class ConVcInstance(Instance):
 
 class AnnotatedConVcInstance(Instance):
     file_kind = "convc"
+    vertex_fields = ("red",)
     __slots__ = ("graph", "red", "k")
     graph: Graph
     red: frozenset[int]
@@ -39,11 +39,6 @@ class AnnotatedConVcInstance(Instance):
         for v in self.red:
             if not (0 <= v < self.graph.n):
                 raise ValueError(f"red vertex {v} out of range")
-
-    def _renumber(self, changes, kept):
-        """A deleted vertex takes its red mark with it."""
-        red = changes.get("red", self.red)
-        return {**changes, "red": frozenset(new for new, old in enumerate(kept) if old in red)}
 
 
 # ---------------------------------------------------------------------------

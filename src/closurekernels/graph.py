@@ -238,6 +238,14 @@ def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, 
     return induced_subgraph(g, (v for v in g.vertices() if v not in rem))
 
 
+def twin_classes(g: Graph) -> list[tuple[int, ...]]:
+    """False twins: vertices grouped by open neighborhood, by first member."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in g.vertices():
+        groups.setdefault(g.adj(v), []).append(v)
+    return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda t: t[0])
+
+
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     vs = sorted(set(s))
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))

@@ -10,10 +10,9 @@ The reductions, in the order the kernel loop tries them:
 """
 from __future__ import annotations
 
-from .capvc import twin_classes
 from .closure import weak_closure_ordering
 from .combinatorics import maximum_matching, vclp_half_integral
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, twin_classes
 from .reduction import Decided, Instance, exhaust
 
 

@@ -72,6 +72,7 @@ class IsInstance(Instance):
     for k pairwise nonadjacent vertices; several ask for one vertex per part."""
 
     file_kind = "is"
+    vertex_fields = ("parts",)
     __slots__ = ("graph", "parts", "k")
     graph: Graph
     parts: tuple[int, ...]
@@ -81,10 +82,6 @@ class IsInstance(Instance):
         if len(self.parts) != self.graph.n:
             raise ValueError("part vector length must equal vertex count")
         super().__post_init__()
-
-    def _renumber(self, changes, kept):
-        parts = changes.get("parts", self.parts)
-        return {**changes, "parts": tuple(parts[v] for v in kept)}
 
     def groups(self) -> list[tuple[int, ...]]:
         """The vertices of each part, parts in index order."""
@@ -318,11 +315,6 @@ def from_problem(problem) -> InstanceFile:
     `file_kind`."""
     if isinstance(problem, Graph):
         return InstanceFile("graph", problem, 0)
-    file_kind = getattr(problem, "file_kind", None)
-    if file_kind is None:
+    if not isinstance(problem, Instance):
         raise TypeError(f"cannot serialize {type(problem).__name__}")
-    return InstanceFile(file_kind, problem.graph, problem.k,
-                        ell=getattr(problem, "ell", None),
-                        cap=getattr(problem, "cap", None),
-                        red=tuple(sorted(getattr(problem, "red", ()))),
-                        parts=getattr(problem, "parts", None))
+    return InstanceFile(problem.file_kind, problem.graph, problem.k, **problem.fields())

@@ -3,7 +3,8 @@
 These are the ground truth the reduction rules are tested against, so they
 are written directly from the problem definitions and kept independent of
 the kernelization code. Every yes answer carries a witness that is
-re-validated before being returned. Deterministic: candidate enumeration in
+re-validated before being returned, and `is_solution` is the one
+feasibility predicate per problem. Deterministic: candidate enumeration in
 lexicographic order by increasing size. Two searches serve most oracles:
 `_smallest_set` tries vertex sets smallest first (connected vertex cover,
 dominating set, component order connectivity), and `_compatible_set` picks
@@ -289,11 +290,9 @@ def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     return all(v in ss or (g.adj(v) & ss) for v in g.vertices())
 
 
-def solve_ds_exact(g: Graph, k: int, max_n: int | None = None,
-                   forbidden: frozenset[int] = frozenset()) -> OracleResult:
-    """Is there a dominating set of size <= k avoiding `forbidden`?"""
-    verts = [v for v in g.vertices() if v not in forbidden]
-    return _smallest_set(g, k, max_n, verts, lambda s: is_dominating_set(g, s))
+def solve_ds_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:
+    """Is there a dominating set of size <= k?"""
+    return _smallest_set(g, k, max_n, g.vertices(), lambda s: is_dominating_set(g, s))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +404,7 @@ def solve_exact(problem, max_n: int) -> OracleResult:
         return solve_capvc_exact(g, problem.cap, k, max_n=max_n)
     if kind == "convc":
         # an annotated instance's red vertices must be in the cover
-        red = getattr(problem, "red", frozenset())
-        return solve_convc_exact(g, k, max_n=max_n, required=red)
+        return solve_convc_exact(g, k, max_n, getattr(problem, "red", frozenset()))
     if kind == "coc":
         return solve_coc_exact(g, problem.ell, k, max_n=max_n)
     if kind == "im":
@@ -414,3 +412,33 @@ def solve_exact(problem, max_n: int) -> OracleResult:
     if kind == "ds":
         return solve_ds_exact(g, k, max_n=max_n)
     raise TypeError(f"no oracle for {type(problem).__name__}")
+
+
+def is_solution(problem, witness) -> bool:
+    """The one feasibility predicate per problem: does `witness` solve the
+    typed instance? The witness is a set of edges for im and a set of
+    vertices otherwise. An `is` instance with several parts asks for one
+    vertex from each part, pairwise nonadjacent."""
+    kind = getattr(problem, "file_kind", None)
+    g, k = problem.graph, problem.k
+    if kind == "im":
+        return len(witness) >= k and is_induced_matching(g, witness)
+    s = frozenset(witness)
+    if kind == "is":
+        parts = problem.groups()
+        if len(parts) <= 1:
+            return len(s) >= k and is_independent_set(g, s)
+        return (len(s) == len(parts) and all(len(s.intersection(p)) == 1 for p in parts)
+                and is_independent_set(g, s))
+    if len(s) > k:
+        return False
+    if kind == "capvc":
+        return capvc_assignment_feasible(g, s, problem.cap)
+    if kind == "convc":
+        red = getattr(problem, "red", frozenset())
+        return red <= s and is_vertex_cover(g, s) and is_connected_set(g, s)
+    if kind == "coc":
+        return is_connected_set(g, s) and coc_components_ok(g, s, problem.ell)
+    if kind == "ds":
+        return is_dominating_set(g, s)
+    raise TypeError(f"no predicate for {type(problem).__name__}")

@@ -14,9 +14,12 @@ from .graph import Record, delete_vertices
 
 class Instance(Record):
     """A problem instance: a `graph`, a nonnegative budget `k`, and the
-    subclass's other fields."""
+    subclass's other fields. `vertex_fields` names the fields that follow
+    deleted vertices: a tuple field is indexed by vertex, a set field holds
+    vertices."""
 
     __slots__ = ()
+    vertex_fields: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.k < 0:
@@ -27,13 +30,19 @@ class Instance(Record):
         renumbered densely in order. `changes` replace fields and use the
         current numbering; the result is validated again."""
         graph, kept = delete_vertices(self.graph, removed)
-        return self.replace(graph=graph, **self._renumber(changes, kept))
+        for name in self.vertex_fields:
+            value = changes.get(name, getattr(self, name))
+            if isinstance(value, (set, frozenset)):
+                changes[name] = frozenset(new for new, old in enumerate(kept) if old in value)
+            else:
+                changes[name] = tuple(value[v] for v in kept)
+        return self.replace(graph=graph, **changes)
 
-    def _renumber(self, changes: dict, kept: tuple[int, ...]) -> dict:
-        """`changes` with every per-vertex field carried to the new numbering,
-        in which vertex i is the old vertex kept[i]. Problem classes whose
-        rules delete vertices override this for their per-vertex fields."""
-        return changes
+    def fields(self) -> dict:
+        """The fields other than `graph` and `k`, vertex sets as sorted
+        tuples."""
+        return {name: tuple(sorted(value)) if isinstance(value, (set, frozenset)) else value
+                for name, value in zip(self.__slots__, self._values()) if name not in ("graph", "k")}
 
 
 class Decided(Record):

@@ -318,6 +318,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2 and "unknown suite" in err
 
+    @pytest.mark.parametrize("trials", ["-3", "0"])
+    def test_trials_below_one_are_usage_errors(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--suite", "vclp-exactness", "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == f"error: --trials must be positive, got {trials}\n"
+
     def test_failing_suite_dumps_counterexamples(self, capsys, tmp_path,
                                                  monkeypatch):
         monkeypatch.setitem(verify_mod.SUITES, "stub", failing_suite)
@@ -401,6 +407,32 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "capvc-hard", "--k", "1",
                            "--kind", "ds")
         assert code == 2 and "--kind" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("split", "--n", "4", "--kind", "convc", "--k", "-2"), "--k -2"),
+        (("split", "--n", "4", "--kind", "coc", "--ell", "0"), "--ell 0"),
+        (("split", "--n", "4", "--kind", "coc", "--ell", "5"), "--ell 5"),
+        (("capvc-hard", "--k", "2", "--sets", "-1"), "--sets"),
+        (("capvc-hard", "--k", "2", "--sets", "100"), "--sets"),
+    ], ids=["negative-k", "zero-ell", "ell-above-max", "negative-sets", "too-many-sets"])
+    def test_counts_that_cannot_hold_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run(capsys, "generate", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and flag in err
+
+    def test_coc_wrap_keeps_the_ell_it_is_given(self, capsys):
+        code, out, _ = run(capsys, "generate", "split", "--n", "4", "--kind", "coc")
+        assert code == 0 and parse_instance(out).ell == 2
+        code, out, _ = run(capsys, "generate", "split", "--n", "4", "--kind", "coc",
+                           "--ell", "3")
+        assert code == 0 and parse_instance(out).ell == 3
+
+    def test_capvc_hard_takes_every_set_of_the_pool(self, capsys):
+        code, out, _ = run(capsys, "generate", "capvc-hard", "--k", "2", "--sets", "20")
+        assert code == 0
+        lam, k = 3, 2
+        assert parse_instance(out).graph.m == \
+            2 * lam * k + 2 * lam * 20 + lam * k * (2 * lam * k - 1)
 
     def test_same_seed_same_bytes(self, capsys):
         args = ("generate", "weakly-closed", "--n", "9", "--gamma", "2",
@@ -598,7 +630,9 @@ print("subprocess", "subprocess" in sys.modules)
     ROUTES = {
         "params": (C4_GRAPH, ["params"],
                    ("capvc", "convc", "domset", "induced_matching", "combinatorics")),
-        "kernel-im": (C4_IM, ["kernel", "im"], ("convc", "domset")),
+        "kernel-im": (C4_IM, ["kernel", "im"], ("capvc", "convc", "domset")),
+        "kernel-convc": (C4_CONVC, ["kernel", "convc"],
+                         ("capvc", "domset", "induced_matching", "combinatorics")),
         "kernel-capvc": (C4_CAPVC, ["kernel", "capvc"],
                          ("convc", "domset", "induced_matching", "combinatorics")),
         "kernel-ds": (SPLIT_DS, ["kernel", "ds"], ("capvc", "convc", "induced_matching")),

@@ -180,6 +180,57 @@ def test_sunflower_mixed_empty_core():
     assert validate_sunflower(fam, sf)
 
 
+def recursive_find_sunflower(family, k):
+    """find_sunflower as it was written before its tail recursion became a
+    loop; the reference for the loop."""
+    if k <= 0:
+        raise ValueError("sunflower size must be positive")
+
+    def recurse(indices, sets, core):
+        chosen = []
+        occupied = set()
+        for i in indices:
+            if not (sets[i] & occupied):
+                chosen.append(i)
+                occupied |= sets[i]
+        if len(chosen) >= k:
+            return Sunflower(core, tuple(chosen[:k]))
+        if not occupied:
+            return None
+        counts = {}
+        for i in indices:
+            for x in sets[i]:
+                counts[x] = counts.get(x, 0) + 1
+        popular = max(sorted(counts), key=lambda x: counts[x])
+        sub = [i for i in indices if popular in sets[i]]
+        if len(sub) < k:
+            return None
+        return recurse(sub, {i: sets[i] - {popular} for i in sub}, core | {popular})
+
+    return recurse(list(range(len(family))), dict(enumerate(family)), frozenset())
+
+
+def test_sunflower_matches_the_recursive_search():
+    rng = random.Random(71)
+    found = 0
+    for _ in range(2000):
+        universe = rng.randint(1, 9)
+        fam = [frozenset(rng.sample(range(universe), rng.randint(0, min(4, universe))))
+               for _ in range(rng.randint(0, 12))]
+        k = rng.randint(1, 4)
+        got = find_sunflower(fam, k)
+        assert got == recursive_find_sunflower(fam, k), (fam, k)
+        found += got is not None and len(got.core) >= 2
+    assert found >= 40  # the search went at least two levels deep that often
+
+
+def test_sunflower_with_a_deep_core():
+    core = frozenset(range(1100))
+    fam = [core | {1100 + i} for i in range(3)]
+    sf = find_sunflower(fam, 3)
+    assert sf == Sunflower(core, (0, 1, 2))
+
+
 def test_sunflower_guarantee_threshold():
     assert sunflower_guarantee(0, 3) == 1
     assert sunflower_guarantee(1, 3) == 3

@@ -1,9 +1,12 @@
 """Oracle sanity on hand-computed micro-instances plus cross-validation."""
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from closurekernels.capvc import CapVcInstance
+from closurekernels.convc import AnnotatedConVcInstance, CocInstance, ConVcInstance
+from closurekernels.domset import DsInstance
 from closurekernels.graph import (
     Graph,
     complete_bipartite,
@@ -15,6 +18,8 @@ from closurekernels.graph import (
     path_graph,
     star_graph,
 )
+from closurekernels.induced_matching import ImInstance
+from closurekernels.instance_io import IsInstance
 from closurekernels.oracles import (
     OracleCapExceeded,
     OracleResult,
@@ -22,6 +27,7 @@ from closurekernels.oracles import (
     coc_components_ok,
     is_dominating_set,
     is_induced_matching,
+    is_solution,
     solve_capvc_exact,
     solve_coc_exact,
     solve_convc_exact,
@@ -171,9 +177,6 @@ def test_ds_oracle():
 def test_ds_forbidden():
     g = star_graph(3)
     assert solve_ds_exact(g, 1).answer
-    res = solve_ds_exact(g, 3, forbidden=frozenset({0}))
-    assert res.answer and res.witness == frozenset({1, 2, 3})
-    assert solve_ds_exact(g, 2, forbidden=frozenset({0})).answer is False
     assert is_dominating_set(g, [0])
 
 
@@ -365,13 +368,12 @@ def ref_convc(g, k, required=frozenset()):
     return OracleResult(False, stats={"subsets": count})
 
 
-def ref_ds(g, k, forbidden=frozenset()):
+def ref_ds(g, k):
     if k < 0:
         return OracleResult(False, stats={"subsets": 0})
-    verts = [v for v in g.vertices() if v not in forbidden]
     count = 0
     for size in range(k + 1):
-        for s in combinations(verts, size):
+        for s in combinations(g.vertices(), size):
             count += 1
             ss = frozenset(s)
             if is_dominating_set(g, ss):
@@ -483,10 +485,8 @@ def test_convc_matches_its_own_subset_loop():
 
 
 def test_ds_matches_its_own_subset_loop():
-    for rng, g, k in seeded_instances(404, 3000, 9):
-        forbidden = frozenset(v for v in g.vertices() if rng.random() < 0.2)
-        assert same_result(solve_ds_exact(g, k, forbidden=forbidden),
-                           ref_ds(g, k, forbidden)), (g.edges(), k, forbidden)
+    for _, g, k in seeded_instances(404, 3000, 9):
+        assert same_result(solve_ds_exact(g, k), ref_ds(g, k)), (g.edges(), k)
 
 
 def test_coc_matches_its_own_subset_loop():
@@ -534,3 +534,101 @@ def test_feasibility_reroutes_along_a_long_path():
     cap = (0,) + (1,) * (g.n - 1)
     assert capvc_assignment_feasible(g, frozenset(g.vertices()), cap)
     assert not capvc_assignment_feasible(g, frozenset(g.vertices()), cap[:-1] + (0,))
+
+
+# --- is_solution against the problem definitions -----------------------------
+# Each predicate below is written from the definition alone, with its own
+# component search, and compared on every vertex set (every edge set for im).
+
+def def_components(g, verts):
+    """Vertex sets of the components of G[verts]."""
+    label = {v: v for v in verts}
+
+    def root(v):
+        while label[v] != v:
+            v = label[v]
+        return v
+
+    for u, v in g.edges():
+        if u in label and v in label:
+            label[root(u)] = root(v)
+    comps = {}
+    for v in verts:
+        comps.setdefault(root(v), set()).add(v)
+    return list(comps.values())
+
+
+def def_connected(g, s):
+    return len(def_components(g, s)) <= 1
+
+
+def def_solution(problem, witness):
+    g, k = problem.graph, problem.k
+    kind = problem.file_kind
+    if kind == "im":
+        ends = [v for e in witness for v in e]
+        return (len(witness) >= k and all(g.has_edge(u, v) for u, v in witness)
+                and len(set(ends)) == len(ends)
+                and all(not g.has_edge(a, b) for e, f in combinations(witness, 2)
+                        for a in e for b in f))
+    s = set(witness)
+    no_inner_edge = all(not g.has_edge(u, v) for u, v in combinations(s, 2))
+    if kind == "is":
+        if len(set(problem.parts)) <= 1:
+            return len(s) >= k and no_inner_edge
+        picked = [problem.parts[v] for v in s]
+        return no_inner_edge and sorted(picked) == sorted(set(problem.parts))
+    covers = all(u in s or v in s for u, v in g.edges())
+    if len(s) > k:
+        return False
+    if kind == "capvc":
+        # some endpoint in s for each edge, no vertex over its capacity
+        choices = [[w for w in e if w in s] for e in g.edges()]
+        return any(all(pick.count(v) <= max(problem.cap[v], 0) for v in s)
+                   for pick in product(*choices))
+    if kind == "convc":
+        red = getattr(problem, "red", frozenset())
+        return red <= s and covers and def_connected(g, s)
+    if kind == "coc":
+        rest = [v for v in g.vertices() if v not in s]
+        return def_connected(g, s) and all(len(c) <= problem.ell
+                                           for c in def_components(g, rest))
+    assert kind == "ds"
+    return all(v in s or g.adj(v) & s for v in g.vertices())
+
+
+def small_problems(seed, count):
+    """Seeded instances of every kind, multi-part is included, on at most 7
+    vertices; capvc keeps at most 9 edges so its assignments stay few."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 7)
+        g = random_graph(n, rng.choice((0.2, 0.4, 0.7)), rng)
+        k = rng.randint(0, n + 1)
+        yield ConVcInstance(g, k)
+        yield AnnotatedConVcInstance(g, frozenset(v for v in g.vertices()
+                                                  if rng.random() < 0.2), k)
+        yield CocInstance(g, rng.randint(1, 3), k)
+        yield DsInstance(g, k)
+        yield ImInstance(g, rng.randint(0, 3))
+        yield IsInstance(g, (0,) * n, k)
+        yield IsInstance(g, tuple(rng.randrange(3) for _ in range(n)), k)
+        if g.m <= 9:
+            yield CapVcInstance(g, tuple(rng.randint(-1, 2) for _ in range(n)), k)
+
+
+def test_is_solution_agrees_with_the_definitions():
+    kinds = set()
+    for problem in small_problems(606, 40):
+        g = problem.graph
+        items = g.edges() if problem.file_kind == "im" else list(g.vertices())
+        if len(items) > 10:
+            items = items[:10]  # keeps im at 1,024 edge sets per graph
+        kinds.add((problem.file_kind, len(set(getattr(problem, "parts", ()))) > 1))
+        for size in range(len(items) + 1):
+            for s in combinations(items, size):
+                assert is_solution(problem, frozenset(s)) == def_solution(problem, s), \
+                    (problem, s)
+    assert kinds >= {("capvc", False), ("convc", False), ("coc", False), ("ds", False),
+                     ("im", False), ("is", False), ("is", True)}
+

@@ -127,6 +127,18 @@ def test_without_carries_parts_to_the_new_ids():
     assert inst.without([1], parts=(4, 5, 6), k=2) == IsInstance(Graph(2), (4, 6), 2)
 
 
+def test_fields_are_everything_but_graph_and_budget():
+    g = path_graph(3)
+    assert CapVcInstance(g, (1, 2, 3), 1).fields() == {"cap": (1, 2, 3)}
+    assert AnnotatedConVcInstance(g, frozenset({2, 0}), 1).fields() == {"red": (0, 2)}
+    assert CocInstance(g, 2, 1).fields() == {"ell": 2}
+    assert IsInstance(g, (0, 1, 1), 1).fields() == {"parts": (0, 1, 1)}
+    for inst in (ConVcInstance(g, 1), ImInstance(g, 1), DsInstance(g, 1)):
+        assert inst.fields() == {}
+    with pytest.raises(TypeError, match="cannot serialize Decided"):
+        from_problem(Decided(True, "settled"))
+
+
 def test_without_keeps_the_class_and_other_fields():
     g = path_graph(5)
     for inst in (ConVcInstance(g, 2), CocInstance(g, 3, 2), ImInstance(g, 2), DsInstance(g, 2)):
