@@ -13,6 +13,31 @@ Library layout:
 - oracles: brute-force exact solvers and `is_solution`, the one witness check
 - generators: hard-instance constructions and random families
 - instance_io / cli: the line-oriented instance format and the command line
+
+`cli` and `verify` reach the heavier modules through `_lazy`, so a call
+runs only the code of the modules its route uses.
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
+
+
+def _lazy(name: str):
+    """The package's submodule `name`, whose code runs on first attribute
+    access (the LazyLoader recipe). A module already imported is returned
+    as it is. Never follow it with `from .name import X`, which loads the
+    module at once."""
+    full = f"{__name__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        # what an eager import does, so `import closurekernels.verify`
+        # after this one yields a usable `closurekernels.verify`
+        setattr(sys.modules[__name__], name, module)
+    return module

@@ -15,24 +15,25 @@ vertex labels.
 
 Each call loads only the modules its route runs. The problem modules
 (`capvc`, `convc`, `domset`, `induced_matching`), `oracles`, `verify` and
-`generators` are registered lazily and run their code on first attribute
-access. params loads no problem module; kernel and solve load the one of
-their problem (and what it imports), solve adds `oracles`, generate adds
-`generators` (and with --kind the wrapped problem's module), and only
-verify loads `verify` (with `ramsey` and `subprocess`).
+`generators` are registered lazily (`closurekernels._lazy`) and run their
+code on first attribute access. params loads no problem module; kernel and
+solve load the one of their problem (and what it imports), solve adds
+`oracles`, generate adds `generators` (and with --kind the wrapped
+problem's module), and only kernel loads `json`. Only verify loads
+`verify`, and `verify --suite X` loads the modules that suite X calls
+(`ramsey` for ramsey-guarantee, `subprocess` for determinism).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import json
 import os
 import random
 import stat
 import sys
 from itertools import combinations
 
+from . import _lazy
 from .closure import closure_number, degeneracy, weak_closure_ordering
 from .graph import Graph, clique_number
 from .instance_io import (
@@ -44,25 +45,6 @@ from .instance_io import (
     write_instance,
 )
 from .reduction import Decided
-
-
-def _lazy(name: str):
-    """The package's submodule `name`, whose code runs on first attribute
-    access (the LazyLoader recipe). A module already imported is returned
-    as it is."""
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        spec.loader.exec_module(module)
-        # what an eager import does, so `import closurekernels.verify`
-        # after this one yields a usable `closurekernels.verify`
-        setattr(sys.modules[__package__], name, module)
-    return module
-
 
 # Never do `from .convc import X` (or any of these) here: it loads the
 # module at once.
@@ -167,6 +149,8 @@ def _instance_facts(problem) -> dict:
 
 
 def cmd_kernel(args) -> int:
+    import json  # here, not at the top: no other command writes JSON
+
     inst = _read_instance(args.path)
     problem_name = args.problem or inst.kind
     if problem_name not in KERNEL_PROBLEMS:
@@ -319,10 +303,11 @@ def cmd_verify(args) -> int:
 
 
 def _random_triples(universe: int, count: int | None, seed: int) -> list[frozenset[int]]:
-    """`count` shuffled 3-sets of range(universe); None means 2k + 1, k = universe / 3."""
+    """`count` shuffled 3-sets of range(universe). None means 2k + 1 for
+    k = universe / 3, or every 3-set when there are fewer (one at k = 1)."""
     pool = [frozenset(s) for s in combinations(range(universe), 3)]
     if count is None:
-        count = 2 * universe // 3 + 1
+        count = min(2 * universe // 3 + 1, len(pool))
     elif not 0 <= count <= len(pool):
         raise UsageError(f"--sets must be between 0 and {len(pool)}, the number of "
                          f"3-sets of a {universe}-element universe, got {count}")
@@ -332,6 +317,8 @@ def _random_triples(universe: int, count: int | None, seed: int) -> list[frozens
 
 
 def cmd_generate(args) -> int:
+    if args.ell is not None and args.kind != "coc":
+        raise UsageError("--ell only applies to --kind coc")
     family = args.family
     if family == "split":
         out = from_problem(generators.gen_random_split(args.n, args.seed))
@@ -440,7 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1,
                    help="capvc-hard cover count, or the wrapped budget")
     p.add_argument("--sets", type=int, default=None,
-                   help="capvc-hard family size, 0 to C(3k, 3) (default 2k+1)")
+                   help="capvc-hard family size, 0 to C(3k, 3) "
+                        "(default min(2k+1, C(3k, 3)))")
     p.add_argument("--pattern", default=None,
                    help="is-grid yes/no bits, one per micro instance")
     p.add_argument("--ell", type=int, default=None, help="component bound for --kind coc")

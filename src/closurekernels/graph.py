@@ -257,8 +257,9 @@ def is_independent_set(g: Graph, s: Iterable[int]) -> bool:
 
 
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
+    """Every vertex outside s has all its neighbors in s."""
     ss = set(s)
-    return all(u in ss or v in ss for u, v in g.edges())
+    return all(nb <= ss for v, nb in enumerate(g.adjacency()) if v not in ss)
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

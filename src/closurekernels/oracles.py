@@ -9,8 +9,10 @@ lexicographic order by increasing size. Two searches serve most oracles:
 `_smallest_set` tries vertex sets smallest first (connected vertex cover,
 dominating set, component order connectivity), and `_compatible_set` picks
 pairwise compatible items depth first (independent set over vertices,
-induced matching over edges). No `solve_*` oracle recurses, so deep inputs
-end in an answer, not a `RecursionError`. The one size cap counts vertices.
+induced matching over edges). The capacitated vertex cover oracle branches
+on `int` masks of its chosen vertices and of each edge's endpoints. No
+`solve_*` oracle recurses, so deep inputs end in an answer, not a
+`RecursionError`. The one size cap counts vertices.
 """
 from __future__ import annotations
 
@@ -160,7 +162,9 @@ def solve_capvc_exact(g: Graph, cap: tuple[int, ...], k: int,
     uncovered edge, its lower endpoint first, then pads each cover up to the
     budget with extra vertices (extra capacity can be necessary even when
     the cover alone is not feasible) and checks assignment feasibility by
-    augmenting-path flow. The branch path is an explicit stack.
+    augmenting-path flow. The branch path is an explicit stack; the chosen
+    vertices and each edge's endpoints are `int` masks, so finding the next
+    uncovered edge is one `&` per edge.
     """
     if len(cap) != g.n:
         raise ValueError("capacity vector length must equal vertex count")
@@ -168,52 +172,57 @@ def solve_capvc_exact(g: Graph, cap: tuple[int, ...], k: int,
         return OracleResult(False, stats={"feasibility_checks": 0})
     _check_cap(g, max_n)
     edges = g.edges()
+    m = len(edges)
+    lows = [1 << u for u, _ in edges]
+    highs = [1 << v for _, v in edges]
+    # a trailing 0 ends every scan for an uncovered edge at index m
+    spans = [lo | hi for lo, hi in zip(lows, highs)] + [0]
+    # only a vertex with positive capacity and an incident edge can ever
+    # take an edge
+    takers = [v for v in g.vertices() if cap[v] >= 1 and g.adj(v)]
     checks = 0
-    seen_covers: set[frozenset[int]] = set()
+    seen_covers: set[int] = set()
 
-    def padded(base: frozenset[int]) -> frozenset[int] | None:
+    def padded(base: int) -> frozenset[int] | None:
         nonlocal checks
-        # feasibility is monotone under adding vertices, and only a vertex
-        # with positive capacity and an incident edge can ever take an
-        # edge, so padding with the largest affordable set from that pool
-        # decides every smaller padding as well
-        pool = [v for v in g.vertices() if v not in base and cap[v] >= 1 and g.adj(v)]
-        for add in combinations(pool, min(k - len(base), len(pool))):
+        # feasibility is monotone under adding vertices, so padding with
+        # the largest affordable set of takers decides every smaller
+        # padding as well
+        members = frozenset(v for v in g.vertices() if base >> v & 1)
+        pool = [v for v in takers if not base >> v & 1]
+        for add in combinations(pool, min(k - len(members), len(pool))):
             checks += 1
-            s = base | frozenset(add)
+            s = members.union(add)
             if capvc_assignment_feasible(g, s, cap):
                 return s
         return None
 
-    chosen: set[int] = set()
-    path: list[tuple[int, int]] = []  # (edge index, endpoint taken) per branch
+    chosen = 0  # mask of the vertices taken on the branch path, one per branch
+    path: list[int] = []  # per branch its edge index j; ~j once the upper endpoint is taken
     witness = None
     i = 0
     while True:
-        while i < len(edges) and (edges[i][0] in chosen or edges[i][1] in chosen):
+        while spans[i] & chosen:
             i += 1
-        if i == len(edges):
-            base = frozenset(chosen)
-            if base not in seen_covers:
-                seen_covers.add(base)
-                witness = padded(base)
+        if i == m:
+            if chosen not in seen_covers:
+                seen_covers.add(chosen)
+                witness = padded(chosen)
                 if witness is not None:
                     break
-        elif len(chosen) < k:
-            path.append((i, 0))
-            chosen.add(edges[i][0])
+        elif len(path) < k:
+            path.append(i)
+            chosen |= lows[i]
             i += 1
             continue
         # backtrack to the deepest branch whose upper endpoint is untried
-        while path and path[-1][1] == 1:
-            j, _ = path.pop()
-            chosen.remove(edges[j][1])
+        while path and path[-1] < 0:
+            chosen ^= highs[~path.pop()]
         if not path:
             break
-        j, _ = path.pop()
-        chosen.remove(edges[j][0])
-        path.append((j, 1))
-        chosen.add(edges[j][1])
+        j = path.pop()
+        chosen ^= spans[j]  # swap the lower endpoint for the upper one
+        path.append(~j)
         i = j + 1
     if witness is not None:
         assert len(witness) <= k and capvc_assignment_feasible(g, witness, cap)

@@ -6,7 +6,8 @@ walks the closure ordering in blocks from the back, growing an independent
 set; inside a block it either extends the set with a non-neighbor, finds
 enough common neighbors of a small subset to report a clique, or swaps a
 subset for a fresh independent chunk found recursively. Small graphs fall
-back to exact subset search.
+back to exact subset search: a depth-first search over adjacency masks
+that returns the first subset in lexicographic order.
 """
 from __future__ import annotations
 
@@ -84,13 +85,42 @@ def r_gamma_bound(a: int, b: int, gamma: int) -> int:
     return _threshold(a, b, gamma)
 
 
-def _brute_subset(g: Graph, size: int, check) -> tuple[int, ...] | None:
-    if size > g.n or comb(g.n, size) > _BRUTE_CAP:
+def _brute_subset(g: Graph, size: int, clique: bool) -> tuple[int, ...] | None:
+    """The first `size`-subset of the vertices, in the order of
+    `combinations(range(n), size)`, that is a clique (or, with clique
+    False, an independent set); None when there is none or when there are
+    more than `_BRUTE_CAP` subsets.
+
+    Depth-first search in lexicographic order that keeps, per depth, the
+    mask of later vertices compatible with every chosen one, so a branch
+    ends at its first bad pair, or as soon as too few vertices are left.
+    Both properties pass to subsets, so no cut branch holds an answer.
+    """
+    n = g.n
+    if size > n or comb(n, size) > _BRUTE_CAP:
         return None
-    for s in combinations(range(g.n), size):
-        if check(g, s):
-            return s
-    return None
+    full = (1 << n) - 1
+    compatible = g.adjacency_masks()
+    if not clique:
+        compatible = [full ^ mask for mask in compatible]  # v's own bit is never tried again
+    chosen: list[int] = []
+    untried = [full]  # per depth, the vertices still to try there
+    while True:
+        depth = len(chosen)
+        if depth == size:
+            return tuple(chosen)
+        left = untried[depth]
+        if left.bit_count() < size - depth:
+            if not chosen:
+                return None
+            untried.pop()
+            chosen.pop()
+            continue
+        v = (left & -left).bit_length() - 1
+        left ^= 1 << v
+        untried[depth] = left
+        chosen.append(v)
+        untried.append(left & compatible[v])
 
 
 def _blocks(order: tuple[int, ...], b: int) -> list[list[int]]:
@@ -160,10 +190,10 @@ def clique_or_independent_set(g: Graph, a: int, b: int) -> RamseyWitness | None:
     found = _constructive(g, a, b)
     if found is not None:
         return found
-    cl = _brute_subset(g, a, is_clique)
+    cl = _brute_subset(g, a, True)
     if cl is not None:
         return RamseyWitness("clique", cl)
-    ind = _brute_subset(g, b, is_independent_set)
+    ind = _brute_subset(g, b, False)
     if ind is not None:
         return RamseyWitness("independent-set", ind)
     return None

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import os
 import random
-import subprocess
 import sys
-import tempfile
 from itertools import combinations
 from typing import Callable
 
-from .capvc import CapVcInstance, kernelize_capvc, size_bound_report, twin_crown_rule
+from . import _lazy
 from .closure import (
     closure_number,
     degeneracy,
@@ -29,55 +27,21 @@ from .closure import (
     verify_closure_ordering,
     weak_closure_ordering,
 )
-from .combinatorics import vclp_half_integral, vclp_is_feasible
-from .convc import (
-    AnnotatedConVcInstance,
-    CocInstance,
-    ConVcInstance,
-    annotated_bound_report,
-    component_twin_rule,
-    kernelize_coc,
-    kernelize_convc,
-    kernelize_convc_annotated,
-    simplicial_rule,
-    small_component_rule,
-    trivial_rules,
-    twinset_bound_report,
-    twinset_rule,
-)
-from .domset import (
-    DsInstance,
-    biclique_freeness_report,
-    covers_clique_rule,
-    dominated_clique_vertex_rule,
-    dominated_independent_vertex_rule,
-    isolated_rule,
-    kernelize_ds_split,
-    split_bound_report,
-    sunflower_rule,
-)
-from .generators import (
-    _random_clique_union,
-    composition_layout,
-    gen_capvc_lowerbound,
-    gen_is_composition,
-    gen_k_ab,
-    gen_random_bipartite,
-    gen_random_split,
-    gen_random_weakly_closed,
-)
 from .graph import Graph, Record, complete_graph, cycle_graph, delete_vertices, path_graph
-from .induced_matching import (
-    ImInstance,
-    dense_posterior_rule,
-    im_twin_rule,
-    kernelize_im,
-    lp_threshold_rule,
-)
 from .instance_io import InstanceFile, IsInstance, from_problem, write_instance
-from .oracles import solve_capvc_exact, solve_exact, solve_exact_set_cover, solve_is_exact
-from .ramsey import clique_or_independent_set, r_gamma_bound, validate_witness
 from .reduction import Decided
+
+# Each suite loads only the modules it calls, on first use. Functions are
+# looked up on their module at call time, so a wrapper rebound over one (as
+# perfbench/tracing.py does) sees the call.
+capvc = _lazy("capvc")
+combinatorics = _lazy("combinatorics")
+convc = _lazy("convc")
+domset = _lazy("domset")
+generators = _lazy("generators")
+induced_matching = _lazy("induced_matching")
+oracles = _lazy("oracles")
+ramsey = _lazy("ramsey")
 
 
 class SuiteResult(Record):
@@ -210,7 +174,7 @@ def _answer(inst) -> bool:
     """A decision's answer, else the oracle's under a 12-vertex cap."""
     if isinstance(inst, Decided):
         return inst.answer
-    return solve_exact(inst, max_n=12).answer
+    return oracles.solve_exact(inst, max_n=12).answer
 
 
 class RuleCase(Record):
@@ -225,37 +189,37 @@ def _sample_capvc(rng: random.Random):
     n = rng.randint(1, 11)
     g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
     cap = tuple(rng.randint(0, 4) for _ in range(n))
-    return CapVcInstance(g, cap, rng.randint(0, 4))
+    return capvc.CapVcInstance(g, cap, rng.randint(0, 4))
 
 
 def _sample_convc(rng: random.Random):
     n = rng.randint(1, 11)
     g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    return ConVcInstance(g, rng.randint(0, 4))
+    return convc.ConVcInstance(g, rng.randint(0, 4))
 
 
 def _sample_annotated(rng: random.Random):
     n = rng.randint(1, 11)
     g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
     red = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
-    return AnnotatedConVcInstance(g, red, rng.randint(0, 4))
+    return convc.AnnotatedConVcInstance(g, red, rng.randint(0, 4))
 
 
 def _sample_annotated_connected(rng: random.Random):
     n = rng.randint(3, 11)
     g = _random_connected(rng, n, rng.choice((0.15, 0.3, 0.5)))
     red = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
-    return AnnotatedConVcInstance(g, red, rng.randint(0, 4))
+    return convc.AnnotatedConVcInstance(g, red, rng.randint(0, 4))
 
 
 def _sample_im(rng: random.Random):
     n = rng.randint(1, 11)
     g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    return ImInstance(g, rng.randint(0, 4))
+    return induced_matching.ImInstance(g, rng.randint(0, 4))
 
 
 def _sample_ds(rng: random.Random):
-    return DsInstance(_random_split(rng, 11), rng.randint(0, 4))
+    return domset.DsInstance(_random_split(rng, 11), rng.randint(0, 4))
 
 
 def _sample_ds_no_isolated(rng: random.Random):
@@ -266,33 +230,47 @@ def _sample_ds_no_isolated(rng: random.Random):
         if iso:
             g, _ = delete_vertices(g, iso)
         if g.n:
-            return DsInstance(g, rng.randint(0, 4))
+            return domset.DsInstance(g, rng.randint(0, 4))
 
 
 def _sample_coc(rng: random.Random):
     n = rng.randint(1, 11)
     g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    return CocInstance(g, rng.randint(1, 2), rng.randint(0, 4))
+    return convc.CocInstance(g, rng.randint(1, 2), rng.randint(0, 4))
 
 
-RULE_CASES: tuple[RuleCase, ...] = (
-    RuleCase("capvc-twin-crown", _sample_capvc, twin_crown_rule, kernelize_capvc),
-    RuleCase("convc-twinset", _sample_convc, twinset_rule, kernelize_convc),
-    RuleCase("convc-isolated", _sample_annotated, trivial_rules, kernelize_convc_annotated),
-    RuleCase("convc-simplicial", _sample_annotated_connected, simplicial_rule,
-             kernelize_convc_annotated),
-    RuleCase("im-dense-posterior", _sample_im, dense_posterior_rule, kernelize_im),
-    RuleCase("im-lp-threshold", _sample_im, lp_threshold_rule, kernelize_im),
-    RuleCase("im-twin", _sample_im, im_twin_rule, kernelize_im),
-    RuleCase("ds-isolated", _sample_ds, isolated_rule, kernelize_ds_split),
-    RuleCase("ds-covers-clique", _sample_ds, covers_clique_rule, kernelize_ds_split),
-    RuleCase("ds-dominated-clique", _sample_ds, dominated_clique_vertex_rule, kernelize_ds_split),
-    RuleCase("ds-dominated-independent", _sample_ds_no_isolated,
-             dominated_independent_vertex_rule, kernelize_ds_split),
-    RuleCase("ds-sunflower", _sample_ds, sunflower_rule, kernelize_ds_split),
-    RuleCase("coc-small-component", _sample_coc, small_component_rule, kernelize_coc),
-    RuleCase("coc-component-twin", _sample_coc, component_twin_rule, kernelize_coc),
-)
+def _rule_cases() -> tuple[RuleCase, ...]:
+    """The rule-safety cases. Built per call, like kernel-size-bounds'
+    families, so that importing `verify` loads no problem module and a
+    function rebound by a tracer is the one called."""
+    cv, im, ds = convc, induced_matching, domset
+    return (
+        RuleCase("capvc-twin-crown", _sample_capvc, capvc.twin_crown_rule, capvc.kernelize_capvc),
+        RuleCase("convc-twinset", _sample_convc, cv.twinset_rule, cv.kernelize_convc),
+        RuleCase("convc-isolated", _sample_annotated, cv.trivial_rules,
+                 cv.kernelize_convc_annotated),
+        RuleCase("convc-simplicial", _sample_annotated_connected, cv.simplicial_rule,
+                 cv.kernelize_convc_annotated),
+        RuleCase("im-dense-posterior", _sample_im, im.dense_posterior_rule, im.kernelize_im),
+        RuleCase("im-lp-threshold", _sample_im, im.lp_threshold_rule, im.kernelize_im),
+        RuleCase("im-twin", _sample_im, im.im_twin_rule, im.kernelize_im),
+        RuleCase("ds-isolated", _sample_ds, ds.isolated_rule, ds.kernelize_ds_split),
+        RuleCase("ds-covers-clique", _sample_ds, ds.covers_clique_rule, ds.kernelize_ds_split),
+        RuleCase("ds-dominated-clique", _sample_ds, ds.dominated_clique_vertex_rule,
+                 ds.kernelize_ds_split),
+        RuleCase("ds-dominated-independent", _sample_ds_no_isolated,
+                 ds.dominated_independent_vertex_rule, ds.kernelize_ds_split),
+        RuleCase("ds-sunflower", _sample_ds, ds.sunflower_rule, ds.kernelize_ds_split),
+        RuleCase("coc-small-component", _sample_coc, cv.small_component_rule, cv.kernelize_coc),
+        RuleCase("coc-component-twin", _sample_coc, cv.component_twin_rule, cv.kernelize_coc),
+    )
+
+
+def __getattr__(name: str):
+    # `from closurekernels.verify import RULE_CASES` builds the cases then
+    if name == "RULE_CASES":
+        return _rule_cases()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def suite_rule_safety(trials_per_rule: int = 1000, seed: int = 0,
@@ -305,10 +283,11 @@ def suite_rule_safety(trials_per_rule: int = 1000, seed: int = 0,
     """
     rec = _Recorder("rule-safety")
     overrides = rule_overrides or {}
-    unknown = set(overrides) - {case.name for case in RULE_CASES}
+    cases = _rule_cases()
+    unknown = set(overrides) - {case.name for case in cases}
     if unknown:
         raise ValueError(f"unknown rule names: {sorted(unknown)}")
-    for case in RULE_CASES:
+    for case in cases:
         step = overrides.get(case.name, case.step)
         rng = random.Random(f"verify:rules:{case.name}:{seed}")
         for _ in range(trials_per_rule):
@@ -356,9 +335,9 @@ def suite_setcover_gadget(trials: int = 200, seed: int = 0) -> SuiteResult:
         universe = lam * k
         nsets = rng.randint(0, 6 if k == 1 else 8)
         family = _random_cover_family(rng, universe, lam, nsets)
-        inst = gen_capvc_lowerbound(universe, family, lam, k)
-        want = solve_exact_set_cover(universe, family, lam, k).answer
-        got = solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=32).answer
+        inst = generators.gen_capvc_lowerbound(universe, family, lam, k)
+        want = oracles.solve_exact_set_cover(universe, family, lam, k).answer
+        got = oracles.solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=32).answer
         problems = []
         if want != got:
             problems.append(f"gadget answer {got} != set cover answer {want}")
@@ -391,14 +370,14 @@ def suite_composition_patterns() -> SuiteResult:
     for bits in range(16):
         pattern = [(bits >> i) & 1 for i in range(4)]
         instances = [yes if b else no for b in pattern]
-        host, budget = gen_is_composition(instances, t, q, k)
+        host, budget = generators.gen_is_composition(instances, t, q, k)
         want = any(pattern)
-        got = solve_is_exact(host, budget, max_n=24).answer
+        got = oracles.solve_is_exact(host, budget, max_n=24).answer
         if got != want:
             rec.fail(f"pattern {pattern}: host answer {got}, expected {want}",
                      from_problem(IsInstance(host, (0,) * host.n, budget)))
             continue
-        layout = composition_layout(instances, t, q, k)
+        layout = generators.composition_layout(instances, t, q, k)
         problems = []
         if budget != q * k * t - q * k + k:
             problems.append("budget formula mismatch")
@@ -433,24 +412,24 @@ def _sized_capvc(rng: random.Random):
     if g.m > 16:
         return None
     k = rng.randint(1, 3)
-    return CapVcInstance(g, tuple(rng.randint(0, 3) for _ in range(n)), k)
+    return capvc.CapVcInstance(g, tuple(rng.randint(0, 3) for _ in range(n)), k)
 
 
 def _sized_convc(rng: random.Random):
     n = rng.randint(3, 10)
     g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
-    return ConVcInstance(g, rng.randint(1, 3))
+    return convc.ConVcInstance(g, rng.randint(1, 3))
 
 
 def _sized_ds(rng: random.Random):
-    return DsInstance(_random_split(rng, 10), rng.randint(1, 3))
+    return domset.DsInstance(_random_split(rng, 10), rng.randint(1, 3))
 
 
 def _sized_annotated(rng: random.Random):
     n = rng.randint(3, 10)
     g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
     red = frozenset(rng.sample(range(n), rng.randint(0, 2)))
-    return AnnotatedConVcInstance(g, red, rng.randint(1, 3))
+    return convc.AnnotatedConVcInstance(g, red, rng.randint(1, 3))
 
 
 def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
@@ -462,10 +441,11 @@ def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
     rng = random.Random(f"verify:sizes:{seed}")
     # built per call, so functions rebound by a tracer are the ones called
     families = (
-        ("capvc", _sized_capvc, kernelize_capvc, size_bound_report),
-        ("convc", _sized_convc, kernelize_convc, twinset_bound_report),
-        ("ds-split", _sized_ds, kernelize_ds_split, split_bound_report),
-        ("annotated", _sized_annotated, kernelize_convc_annotated, annotated_bound_report),
+        ("capvc", _sized_capvc, capvc.kernelize_capvc, capvc.size_bound_report),
+        ("convc", _sized_convc, convc.kernelize_convc, convc.twinset_bound_report),
+        ("ds-split", _sized_ds, domset.kernelize_ds_split, domset.split_bound_report),
+        ("annotated", _sized_annotated, convc.kernelize_convc_annotated,
+         convc.annotated_bound_report),
     )
     for label, sample, kernelize, bound_report in families:
         for _ in range(trials):
@@ -501,12 +481,12 @@ def suite_biclique_certificate(trials: int = 500, seed: int = 0) -> SuiteResult:
         n = rng.randint(2, 18)
         style = t % 3
         if style == 0:
-            g = gen_random_bipartite(n, rng.randrange(2 ** 30))
+            g = generators.gen_random_bipartite(n, rng.randrange(2 ** 30))
         elif style == 1:
             g = _random_graph(rng, n, rng.choice((0.15, 0.25)))
         else:
-            g = _random_clique_union(rng, n)
-        report = biclique_freeness_report(g)
+            g = generators._random_clique_union(rng, n)
+        report = domset.biclique_freeness_report(g)
         if report["consistent"]:
             rec.ok()
         else:
@@ -527,7 +507,7 @@ def suite_ramsey_guarantee(seed: int = 0, samples_per_size: int = 3) -> SuiteRes
         for n in range(1, 21):
             for _ in range(samples_per_size):
                 try:
-                    g = gen_random_weakly_closed(n, target, rng.randrange(2 ** 30))
+                    g = generators.gen_random_weakly_closed(n, target, rng.randrange(2 ** 30))
                 except ValueError:
                     continue
                 graphs.append(g)
@@ -535,17 +515,17 @@ def suite_ramsey_guarantee(seed: int = 0, samples_per_size: int = 3) -> SuiteRes
         wc = weak_closure_ordering(g).weak_closure
         for a in range(1, 5):
             for b in range(1, 5):
-                if g.n < r_gamma_bound(a, b, wc):
+                if g.n < ramsey.r_gamma_bound(a, b, wc):
                     continue
                 if rec.saturated:
                     break
-                w = clique_or_independent_set(g, a, b)
+                w = ramsey.clique_or_independent_set(g, a, b)
                 if w is None:
                     rec.fail(f"no witness on n={g.n}, weak closure {wc}, "
                              f"sizes ({a}, {b})", from_problem(g))
                     continue
                 size_ok = len(w.vertices) == (a if w.kind == "clique" else b)
-                if not (size_ok and validate_witness(g, w)):
+                if not (size_ok and ramsey.validate_witness(g, w)):
                     rec.fail(f"invalid witness {w} on n={g.n}, sizes ({a}, {b})",
                              from_problem(g))
                 else:
@@ -590,8 +570,9 @@ def suite_vclp_exactness(trials: int = 300, seed: int = 0) -> SuiteResult:
     """Combinatorial LP solver against exhaustive half-integral search."""
     rec = _Recorder("vclp-exactness")
     rng = random.Random(f"verify:vclp:{seed}")
+    k_ab = generators.gen_k_ab
     fixed = [Graph(0), Graph(1), path_graph(4), cycle_graph(5), cycle_graph(6),
-             complete_graph(4), gen_k_ab(3, 3), gen_k_ab(2, 5), path_graph(10)]
+             complete_graph(4), k_ab(3, 3), k_ab(2, 5), path_graph(10)]
     pool: list[Graph] = list(fixed)
     for _ in range(trials):
         n = rng.randint(0, 10)
@@ -599,9 +580,9 @@ def suite_vclp_exactness(trials: int = 300, seed: int = 0) -> SuiteResult:
     for g in pool:
         if rec.saturated:
             break
-        sol = vclp_half_integral(g)
+        sol = combinatorics.vclp_half_integral(g)
         problems = []
-        if not vclp_is_feasible(g, sol.value2):
+        if not combinatorics.vclp_is_feasible(g, sol.value2):
             problems.append("returned assignment infeasible")
         brute2 = _brute_vclp_total2(g)
         if sum(sol.value2) != brute2:
@@ -632,6 +613,8 @@ def _kernel_command_bytes(workdir: str, hashseeds: tuple[str, ...]) -> list[tupl
     src = os.path.join(workdir, "in.ck")
     paths = [(os.path.join(workdir, f"out-{seed}.ck"), os.path.join(workdir, f"trace-{seed}.json"))
              for seed in hashseeds]
+    import subprocess  # here, not at the top: no other suite starts a process
+
     procs: list[subprocess.Popen] = []
     try:
         for seed, (out, trace) in zip(hashseeds, paths):
@@ -666,19 +649,20 @@ def suite_determinism(seed: int = 0) -> SuiteResult:
     with different hash seeds)."""
     rec = _Recorder("determinism")
 
+    gen = generators
     pairs = [
-        (gen_random_split(9, seed), gen_random_split(9, seed)),
-        (gen_random_bipartite(10, seed + 1), gen_random_bipartite(10, seed + 1)),
-        (gen_random_weakly_closed(8, 2, seed), gen_random_weakly_closed(8, 2, seed)),
-        (gen_k_ab(2, 5), gen_k_ab(2, 5)),
+        (gen.gen_random_split(9, seed), gen.gen_random_split(9, seed)),
+        (gen.gen_random_bipartite(10, seed + 1), gen.gen_random_bipartite(10, seed + 1)),
+        (gen.gen_random_weakly_closed(8, 2, seed), gen.gen_random_weakly_closed(8, 2, seed)),
+        (gen.gen_k_ab(2, 5), gen.gen_k_ab(2, 5)),
     ]
     family = [frozenset({0, 1, 2}), frozenset({2, 3, 4}), frozenset({3, 4, 5})]
-    a1 = gen_capvc_lowerbound(6, family, 3, 2)
-    a2 = gen_capvc_lowerbound(6, family, 3, 2)
+    a1 = gen.gen_capvc_lowerbound(6, family, 3, 2)
+    a2 = gen.gen_capvc_lowerbound(6, family, 3, 2)
     pairs.append((a1.graph, a2.graph))
     micro = [(Graph(1), [(0,)]), (Graph(0), [()])] * 2
-    h1, _ = gen_is_composition(micro, 2, 2, 1)
-    h2, _ = gen_is_composition(micro, 2, 2, 1)
+    h1, _ = gen.gen_is_composition(micro, 2, 2, 1)
+    h2, _ = gen.gen_is_composition(micro, 2, 2, 1)
     pairs.append((h1, h2))
     for first, second in pairs:
         one = write_instance(from_problem(first))
@@ -691,6 +675,8 @@ def suite_determinism(seed: int = 0) -> SuiteResult:
     rng = random.Random(f"verify:determinism:{seed}")
     g = _random_graph(rng, 9, 0.4)
     text = write_instance(InstanceFile(kind="convc", graph=g, k=3))
+    import tempfile
+
     with tempfile.TemporaryDirectory() as workdir:
         with open(os.path.join(workdir, "in.ck"), "w") as fh:
             fh.write(text)

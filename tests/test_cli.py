@@ -427,6 +427,24 @@ class TestGenerate:
                            "--ell", "3")
         assert code == 0 and parse_instance(out).ell == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("split", "--n", "4", "--kind", "ds", "--ell", "3"),
+        ("split", "--n", "4", "--ell", "3"),
+    ], ids=["other-kind", "no-kind"])
+    def test_ell_without_coc_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "generate", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --ell only applies to --kind coc\n"
+
+    def test_capvc_hard_default_family_is_capped_by_the_pool(self, capsys):
+        # 2k + 1 = 3 sets are asked of a pool of C(3, 3) = 1 at k = 1; at
+        # k = 2 the pool of 20 holds all five
+        for k, pool in (("1", "1"), ("2", "5")):
+            _, default, _ = run(capsys, "generate", "capvc-hard", "--k", k, "--seed", "4")
+            _, explicit, _ = run(capsys, "generate", "capvc-hard", "--k", k, "--seed", "4",
+                                 "--sets", pool)
+            assert default == explicit
+
     def test_capvc_hard_takes_every_set_of_the_pool(self, capsys):
         code, out, _ = run(capsys, "generate", "capvc-hard", "--k", "2", "--sets", "20")
         assert code == 0
@@ -608,7 +626,8 @@ def run_fresh(code: str) -> str:
 
 
 class TestLazyImports:
-    """params and kernel never run the code of verify, oracles or generators."""
+    """params and kernel never run the code of verify, oracles or generators,
+    and `verify --suite X` runs only the modules that X calls."""
 
     def test_kernel_and_params_leave_heavy_modules_unloaded(self, tmp_path):
         src = write(tmp_path, "a.ck", C4_CONVC)
@@ -642,7 +661,8 @@ print("subprocess", "subprocess" in sys.modules)
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_each_route_loads_only_its_modules(self, tmp_path, route):
         """Each call in a fresh interpreter; verify, generators, ramsey,
-        subprocess and dataclasses never load on these routes."""
+        subprocess and dataclasses never load on these routes, and json
+        only on kernel, which writes the trace."""
         text, command, unloaded = self.ROUTES[route]
         argv = [*command, write(tmp_path, "a.ck", text)]
         out = run_fresh(f"""
@@ -655,13 +675,55 @@ for name in ("capvc", "convc", "domset", "induced_matching", "combinatorics",
     print(name, "absent" if module is None else type(module).__name__)
 print("dataclasses", "dataclasses" in sys.modules)
 print("subprocess", "subprocess" in sys.modules)
+print("json", "json" in sys.modules)
 """)
-        state = dict(line.split() for line in out.splitlines()[-11:])
+        state = dict(line.split() for line in out.splitlines()[-12:])
         for name in unloaded:
             assert state[name] in ("absent", "_LazyModule"), (name, state)
         assert state["dataclasses"] == "False" and state["subprocess"] == "False"
+        assert state["json"] == str(command[0] == "kernel")
         assert state["verify"] == "_LazyModule" and state["ramsey"] == "absent"
         assert state["generators"] == "_LazyModule"
+
+    # suite: modules that must not run on `verify --suite` with it alone
+    SUITE_ROUTES = {
+        "parameter-engines": ("capvc", "convc", "domset", "induced_matching", "combinatorics",
+                              "oracles", "generators", "ramsey"),
+        "rule-safety": ("generators", "ramsey"),
+        "setcover-gadget": ("convc", "domset", "induced_matching", "combinatorics", "ramsey"),
+        "composition-patterns": ("capvc", "convc", "domset", "induced_matching",
+                                 "combinatorics", "ramsey"),
+        "kernel-size-bounds": ("induced_matching", "generators", "ramsey"),
+        "biclique-certificate": ("capvc", "convc", "induced_matching", "oracles", "ramsey"),
+        "ramsey-guarantee": ("capvc", "convc", "domset", "induced_matching", "combinatorics",
+                             "oracles"),
+        "vclp-exactness": ("capvc", "convc", "domset", "induced_matching", "oracles", "ramsey"),
+        "determinism": ("convc", "domset", "induced_matching", "combinatorics", "oracles",
+                        "ramsey"),
+    }
+
+    def test_suite_routes_cover_every_suite(self):
+        assert sorted(self.SUITE_ROUTES) == sorted(verify_mod.SUITES)
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_ROUTES))
+    def test_each_suite_loads_only_its_modules(self, suite):
+        """Each suite alone in a fresh interpreter, at two trials; json never
+        loads, and subprocess only for determinism, which starts children."""
+        out = run_fresh(f"""
+import sys
+from closurekernels import cli
+assert cli.main(["verify", "--suite", {suite!r}, "--trials", "2"]) == 0
+for name in {self.SUITE_ROUTES[suite]!r}:
+    module = sys.modules.get("closurekernels." + name)
+    print(name, "absent" if module is None else type(module).__name__)
+print("json", "json" in sys.modules)
+print("subprocess", "subprocess" in sys.modules)
+""")
+        state = dict(line.split() for line in out.splitlines()[1:])
+        for name in self.SUITE_ROUTES[suite]:
+            assert state[name] in ("absent", "_LazyModule"), (name, state)
+        assert state["json"] == "False"
+        assert state["subprocess"] == str(suite == "determinism")
 
     def test_generate_leaves_capvc_unloaded(self, tmp_path):
         out = run_fresh(f"""

@@ -128,6 +128,29 @@ def test_predicates():
     assert is_connected_set(p, [])
 
 
+def edge_list_is_vertex_cover(g, s):
+    """is_vertex_cover as it was before it read neighborhoods: every edge
+    of g.edges() has an end in s; the reference."""
+    ss = set(s)
+    return all(u in ss or v in ss for u, v in g.edges())
+
+
+def test_vertex_cover_matches_the_edge_list_check():
+    rng = random.Random(131)
+    covers = 0
+    for _ in range(3000):
+        n = rng.randint(0, 10)
+        p = rng.choice((0.1, 0.3, 0.6, 0.9))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        # members may repeat or fall outside the graph, and come as any iterable
+        s = [rng.randrange(-2, n + 2) for _ in range(rng.randint(0, n + 2))]
+        want = edge_list_is_vertex_cover(g, s)
+        assert is_vertex_cover(g, s) == want, (g.edges(), s)
+        assert is_vertex_cover(g, iter(s)) == want
+        covers += want and g.m > 0
+    assert covers >= 300
+
+
 def test_components():
     g = Graph(6, [(0, 1), (2, 3), (3, 4)])
     assert connected_components(g) == [(0, 1), (2, 3, 4), (5,)]

@@ -7,6 +7,7 @@ import pytest
 from closurekernels.capvc import CapVcInstance
 from closurekernels.convc import AnnotatedConVcInstance, CocInstance, ConVcInstance
 from closurekernels.domset import DsInstance
+from closurekernels.generators import gen_capvc_lowerbound
 from closurekernels.graph import (
     Graph,
     complete_bipartite,
@@ -499,6 +500,24 @@ def test_capvc_matches_the_recursive_branching():
     for rng, g, k in seeded_instances(406, 3000, 7):
         cap = tuple(rng.randint(-1, 3) for _ in g.vertices())
         assert same_result(solve_capvc_exact(g, cap, k), ref_capvc(g, cap, k)), (g.edges(), cap, k)
+
+
+def test_capvc_matches_the_recursive_branching_on_gadgets():
+    # the set-cover gadget behind the lower bound, as the setcover-gadget
+    # suite draws it: 8 to 24 vertices, deep branch trees, many paddings
+    rng = random.Random(408)
+    answers = set()
+    for t in range(60):
+        k = 2 if t % 3 == 2 else 1
+        pool = list(combinations(range(3 * k), 3))
+        rng.shuffle(pool)
+        family = [frozenset(s) for s in pool[:rng.randint(0, 6 if k == 1 else 8)]]
+        inst = gen_capvc_lowerbound(3 * k, family, 3, k)
+        for budget in (inst.k - 1, inst.k):
+            got = solve_capvc_exact(inst.graph, inst.cap, budget, max_n=32)
+            assert same_result(got, ref_capvc(inst.graph, inst.cap, budget)), (family, budget)
+            answers.add(got.answer)
+    assert answers == {False, True}
 
 
 def test_feasibility_matches_the_recursive_rerouting():

@@ -1,5 +1,7 @@
 """Tests for the clique-or-independent-set machinery."""
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -11,7 +13,9 @@ from closurekernels.graph import (
     is_independent_set,
 )
 from closurekernels.ramsey import (
+    _BRUTE_CAP,
     RamseyWitness,
+    _brute_subset,
     clique_or_independent_set,
     r_gamma_bound,
     validate_witness,
@@ -183,7 +187,6 @@ class TestWitnessSearch:
 
 
 def _subsets(n, size):
-    from itertools import combinations
     if size > n:
         return []
     return combinations(range(n), size)
@@ -205,3 +208,46 @@ class TestValidateWitness:
     def test_kind_is_checked(self):
         with pytest.raises(ValueError):
             RamseyWitness("path", (0, 1))
+
+
+def predicate_brute_subset(g, size, check):
+    """_brute_subset as it was before the mask search: every subset in
+    combinations order through the graph predicate; the reference."""
+    if size > g.n or comb(g.n, size) > _BRUTE_CAP:
+        return None
+    for s in combinations(range(g.n), size):
+        if check(g, s):
+            return s
+    return None
+
+
+class TestBruteSubset:
+    def test_matches_the_predicate_loop(self):
+        rng = random.Random(211)
+        found = 0
+        for _ in range(4000):
+            n = rng.randint(0, 11)
+            p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            size = rng.randint(0, n + 1)
+            for clique, check in ((True, is_clique), (False, is_independent_set)):
+                got = _brute_subset(g, size, clique)
+                assert got == predicate_brute_subset(g, size, check), (g.edges(), size, clique)
+                found += got is not None and size >= 3
+        assert found >= 500  # the search went three levels deep that often
+
+    def test_refuses_above_the_cap_and_answers_at_it(self):
+        # C(30, 5) = 142,506 subsets are searched; C(40, 5) = 658,008 are not
+        g = Graph(30, [(u, v) for u, v in combinations(range(30), 2) if (u + v) % 7])
+        for size in (4, 5):
+            for clique, check in ((True, is_clique), (False, is_independent_set)):
+                got = _brute_subset(g, size, clique)
+                assert got == predicate_brute_subset(g, size, check)
+        assert _brute_subset(complete_graph(40), 5, True) is None
+        assert _brute_subset(Graph(40), 5, False) is None
+
+    def test_a_whole_vertex_set(self):
+        # one subset, as deep as the graph: the search keeps its own stack
+        g = Graph(3000)
+        assert _brute_subset(g, 3000, False) == tuple(range(3000))
+        assert _brute_subset(g, 2, True) is None

@@ -58,7 +58,8 @@ def test_composition_patterns_passes():
 
 def test_composition_counterexample_is_the_host_with_its_budget(monkeypatch):
     # an oracle that answers no everywhere is wrong on every yes pattern
-    monkeypatch.setattr(verify_mod, "solve_is_exact", lambda g, k, **_: OracleResult(False))
+    monkeypatch.setattr(verify_mod.oracles, "solve_is_exact",
+                        lambda g, k, **_: OracleResult(False))
     r = suite_composition_patterns()
     assert not r.passed and r.artifacts
     for artifact in r.artifacts:
@@ -130,7 +131,7 @@ def test_determinism_failing_child_kills_its_sibling(tmp_path, monkeypatch):
 
     monkeypatch.setenv("MARKS", str(tmp_path))
     monkeypatch.setattr(verify_mod.sys, "executable", str(fake))
-    monkeypatch.setattr(verify_mod.subprocess, "Popen", Recorded)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
     t0 = time.monotonic()
     try:
         r = suite_determinism(seed=11)
