@@ -12,7 +12,9 @@ Library layout:
 - ramsey: clique-or-independent-set thresholds and search
 - oracles: brute-force exact solvers and `is_solution`, the one witness check
 - generators: hard-instance constructions and random families
-- instance_io / cli: the line-oriented instance format and the command line
+- instance_io / cli / commands: the line-oriented instance format and the
+  command line (`cli` runs params and kernel, `commands` solve, verify and
+  generate)
 
 `cli` and `verify` reach the heavier modules through `_lazy`, so a call
 runs only the code of the modules its route uses.

@@ -1,5 +1,7 @@
-import sys
+"""`python -m closurekernels`: `cli.run`, which ends the process with
+`os._exit` once stdout and stderr are flushed, skipping interpreter
+teardown (it exits through `sys.exit` under `python -X dev`)."""
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+run()

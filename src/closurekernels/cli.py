@@ -7,13 +7,15 @@ a validated witness), verify (randomized cross-checking suites), generate
 
 Exit codes are a stable contract: 0 success or decided, 1 verification suite
 failure, 2 usage error (kind mismatches, oracle cap overruns, unwritable
-output paths), 3 instance parse error, 4 internal error (an exception no other
-code covers, such as a witness that fails its re-check; reported as one
-stderr line `internal error: <Type>: <message>`). Output files are
-overwritten in place, following symlinks. Witness lines name the input file's
-vertex labels.
+output paths, a closed stdout), 3 instance parse error, 4 internal error (an
+exception no other code covers, such as a witness that fails its re-check;
+reported as one stderr line `internal error: <Type>: <message>`). Output
+files are overwritten in place, following symlinks. Witness lines name the
+input file's vertex labels.
 
-Each call loads only the modules its route runs. The problem modules
+Each call loads only the modules its route runs. This module holds params
+and kernel; solve, verify and generate are in `commands`, and the parser
+gets only the named command's arguments. `commands`, the problem modules
 (`capvc`, `convc`, `domset`, `induced_matching`), `oracles`, `verify` and
 `generators` are registered lazily (`closurekernels._lazy`) and run their
 code on first attribute access. params loads no problem module; kernel and
@@ -22,6 +24,14 @@ solve load the one of their problem (and what it imports), solve adds
 problem's module), and only kernel loads `json`. Only verify loads
 `verify`, and `verify --suite X` loads the modules that suite X calls
 (`ramsey` for ramsey-guarantee, `subprocess` for determinism).
+
+`run` is the process entry point (`python -m closurekernels` and the
+`closurekernels` script). It calls `main`, flushes stdout and stderr, and
+ends the process with `os._exit`: a one-shot command has no interpreter
+teardown worth paying for. Under `python -X dev` (`sys.flags.dev_mode`) it
+exits through `sys.exit` instead, so that teardown still reports unclosed
+resources, and so it does when a flush fails. `main` returns the exit code
+and is what in-process callers use.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from itertools import combinations
 
 from . import _lazy
 from .closure import closure_number, degeneracy, weak_closure_ordering
-from .graph import Graph, clique_number
+from .graph import clique_number
 from .instance_io import (
     InstanceFile,
     ParseError,
@@ -52,6 +62,9 @@ capvc = _lazy("capvc")
 convc = _lazy("convc")
 domset = _lazy("domset")
 induced_matching = _lazy("induced_matching")
+commands = _lazy("commands")
+# only `commands` reads these three; registering them here gives every
+# module of the package an entry in sys.modules once cli is imported
 generators = _lazy("generators")
 oracles = _lazy("oracles")
 verify_mod = _lazy("verify")
@@ -59,7 +72,6 @@ verify_mod = _lazy("verify")
 TRACE_SCHEMA_VERSION = 1
 
 KERNEL_PROBLEMS = ("capvc", "convc", "coc", "im", "ds")
-SOLVE_PROBLEMS = KERNEL_PROBLEMS + ("is",)
 
 
 class UsageError(Exception):
@@ -225,81 +237,8 @@ def cmd_kernel(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# solve
-
-
-def _validated_witness(problem, witness, labels) -> list[str]:
-    """Re-check the oracle's witness with `oracles.is_solution`.
-
-    Returns the witness file lines, naming vertices by their input labels.
-    Raises RuntimeError when validation fails, which would mean an oracle bug
-    rather than bad input.
-    """
-    if not oracles.is_solution(problem, witness):
-        raise RuntimeError("witness failed validation")
-    if problem.file_kind == "im":
-        return [f"e {labels[u]} {labels[v]}" for u, v in sorted(witness)]
-    return [f"v {labels[v]}" for v in sorted(witness)]
-
-
-def cmd_solve(args) -> int:
-    inst = _read_instance(args.path)
-    problem = _load_problem(args, inst, args.problem)
-    try:
-        res = oracles.solve_exact(problem, max_n=args.oracle_cap)
-    except oracles.OracleCapExceeded as exc:
-        raise UsageError(f"instance above the oracle size cap ({exc}); "
-                         f"raise --oracle-cap to force the run") from exc
-
-    # the witness file is written before anything is printed, so a failed
-    # write leaves stdout empty
-    lines = None
-    if res.answer and res.witness is not None:
-        lines = _validated_witness(problem, res.witness, inst.labels)
-        if args.witness is not None:
-            _write_file(args.witness, "c validated witness\n" + "\n".join(lines) + "\n")
-    print(f"answer: {'yes' if res.answer else 'no'}")
-    if lines is not None:
-        print(f"witness: {len(lines)} lines (validated)")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def cmd_verify(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        raise UsageError(f"--trials must be positive, got {args.trials}")
-    names = args.suite or list(verify_mod.SUITES)
-    for name in names:
-        if name not in verify_mod.SUITES:
-            raise UsageError(f"unknown suite {name!r}; known: "
-                             + ", ".join(verify_mod.SUITES))
-    failed = False
-    dumped = 0
-    for name in names:
-        result = verify_mod.run_suite(name, trials=args.trials, seed=args.seed)
-        print(result.summary())
-        for message in result.failures:
-            print(f"  {message}")
-        if not result.passed:
-            failed = True
-        if result.artifacts:
-            try:
-                os.makedirs(args.dump_dir, exist_ok=True)
-            except OSError as exc:
-                raise UsageError(f"cannot write {args.dump_dir}: {exc.strerror}") from exc
-        for artifact in result.artifacts:
-            path = os.path.join(args.dump_dir, f"{result.name}-{dumped}.ck")
-            _write_file(path, write_instance(artifact))
-            print(f"  counterexample written to {path}")
-            dumped += 1
-    return 1 if failed else 0
-
-
-# ---------------------------------------------------------------------------
-# generate
+# generate: the command is in `commands`; this helper stays here because
+# perfbench/corpus.py builds its capvc gadget with it
 
 
 def _random_triples(universe: int, count: int | None, seed: int) -> list[frozenset[int]]:
@@ -316,67 +255,19 @@ def _random_triples(universe: int, count: int | None, seed: int) -> list[frozens
     return pool[:count]
 
 
-def cmd_generate(args) -> int:
-    if args.ell is not None and args.kind != "coc":
-        raise UsageError("--ell only applies to --kind coc")
-    family = args.family
-    if family == "split":
-        out = from_problem(generators.gen_random_split(args.n, args.seed))
-    elif family == "bipartite":
-        out = from_problem(generators.gen_random_bipartite(args.n, args.seed))
-    elif family == "weakly-closed":
-        out = from_problem(generators.gen_random_weakly_closed(args.n, args.gamma, args.seed))
-    elif family == "k-ab":
-        out = from_problem(generators.gen_k_ab(args.a, args.b))
-    elif family == "capvc-hard":
-        fam = _random_triples(3 * args.k, args.sets, args.seed)
-        out = from_problem(generators.gen_capvc_lowerbound(3 * args.k, fam, 3, args.k))
-    elif family == "is-grid":
-        size = args.t ** args.q
-        pattern = args.pattern if args.pattern is not None else "0" * size
-        if len(pattern) != size or set(pattern) - {"0", "1"}:
-            raise UsageError(f"--pattern must be {size} characters of 0/1")
-        yes = (Graph(1), [(0,)])
-        no = (Graph(0), [()])
-        instances = [yes if ch == "1" else no for ch in pattern]
-        host, budget = generators.gen_is_composition(instances, args.t, args.q, 1)
-        out = InstanceFile(kind="is", graph=host, k=budget)
-    else:
-        raise UsageError(f"unknown family {family!r}")
-    if args.kind is not None:
-        if out.kind != "graph":
-            raise UsageError("--kind only applies to plain graph families")
-        ell = None
-        if args.kind == "coc":
-            ell = 2 if args.ell is None else args.ell
-        out = InstanceFile(kind=args.kind, graph=out.graph, k=args.k, ell=ell)
-        try:
-            to_problem(out)
-        except ValueError as exc:
-            flags = f"--k {args.k}" + (f" --ell {ell}" if ell is not None else "")
-            raise UsageError(f"--kind {args.kind} with {flags}: {exc}") from exc
-    _emit(write_instance(out), args.out)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="closurekernels",
-        description="Kernelization toolkit for weakly closed graphs.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("params", help="parameter report for an instance file")
+def _params_arguments(p) -> None:
     p.add_argument("path")
     p.add_argument("--oracle-cap", type=int, default=26,
                    help="largest n for brute-force clique number (default 26)")
     p.set_defaults(fn=cmd_params)
 
-    p = sub.add_parser("kernel", help="run a reduction pipeline",
-                       usage="%(prog)s [problem] path [options]")
+
+def _kernel_arguments(p) -> None:
+    p.usage = "%(prog)s [problem] path [options]"
     # one list, not an optional `problem` before `path`: argparse fills
     # positionals only up to the first option (see main)
     p.add_argument("operands", nargs="+", metavar="[problem] path",
@@ -393,52 +284,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write the JSON trace here")
     p.set_defaults(fn=cmd_kernel, operand_error=p.error)
 
-    p = sub.add_parser("solve", help="exact oracle answer with witness")
-    p.add_argument("problem", choices=SOLVE_PROBLEMS)
-    p.add_argument("path")
-    p.add_argument("--k", type=int, default=None, help="override the budget")
-    p.add_argument("--ell", type=int, default=None,
-                   help="override the component bound (coc only)")
-    p.add_argument("--oracle-cap", type=int, default=26,
-                   help="refuse instances with more vertices than this (default 26)")
-    p.add_argument("--witness", default=None, help="write the witness here")
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("verify", help="run the cross-checking suites")
-    p.add_argument("--trials", type=int, default=None,
-                   help="per-suite trial count (default: each suite's own)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--suite", action="append", default=None,
-                   help="run only this suite (repeatable)")
-    p.add_argument("--dump-dir", default="counterexamples",
-                   help="directory for counterexample instance files")
-    p.set_defaults(fn=cmd_verify)
+# subcommand -> its help line; the top-level --help lists them all
+COMMANDS = {
+    "params": "parameter report for an instance file",
+    "kernel": "run a reduction pipeline",
+    "solve": "exact oracle answer with witness",
+    "verify": "run the cross-checking suites",
+    "generate": "write an instance from a family",
+}
 
-    p = sub.add_parser("generate", help="write an instance from a family")
-    p.add_argument("family", choices=("split", "bipartite", "weakly-closed",
-                                      "k-ab", "capvc-hard", "is-grid"))
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--gamma", type=int, default=2,
-                   help="weak-closure target for weakly-closed")
-    p.add_argument("--a", type=int, default=2)
-    p.add_argument("--b", type=int, default=5)
-    p.add_argument("--t", type=int, default=2, help="is-grid values per digit")
-    p.add_argument("--q", type=int, default=2, help="is-grid arity")
-    p.add_argument("--k", type=int, default=1,
-                   help="capvc-hard cover count, or the wrapped budget")
-    p.add_argument("--sets", type=int, default=None,
-                   help="capvc-hard family size, 0 to C(3k, 3) "
-                        "(default min(2k+1, C(3k, 3)))")
-    p.add_argument("--pattern", default=None,
-                   help="is-grid yes/no bits, one per micro instance")
-    p.add_argument("--ell", type=int, default=None, help="component bound for --kind coc")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind", default=None,
-                   choices=("convc", "im", "ds", "coc", "is"),
-                   help="wrap a plain graph family as a problem instance")
-    p.add_argument("--out", default=None, help="write here instead of stdout")
-    p.set_defaults(fn=cmd_generate)
 
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, but only `command`'s arguments:
+    the others are never parsed, and solve's, verify's and generate's live
+    in `commands`, which is loaded only for them."""
+    top = argparse.ArgumentParser(
+        prog="closurekernels",
+        description="Kernelization toolkit for weakly closed graphs.")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, help_text in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            if name == "params":
+                _params_arguments(p)
+            elif name == "kernel":
+                _kernel_arguments(p)
+            else:
+                commands.ARGUMENTS[name](p)
     return top
 
 
@@ -458,8 +331,22 @@ def _kernel_operands(error, operands: list[str], extra: list[str]) -> tuple[str 
     return operands[0], operands[1]
 
 
+def _stdout_lost(exc: OSError) -> int:
+    """Report a failed write to stdout, such as a closed pipe, as a usage
+    error, and point fd 1 at os.devnull so that the output still buffered
+    cannot fail again at exit."""
+    print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 2
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the command is the first operand: the top level has no option but -h
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args, extra = parser.parse_known_args(argv)
         if args.command == "kernel":
@@ -481,7 +368,30 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError as exc:  # output files map their errors to UsageError
+        return _stdout_lost(exc)
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 4
+
+
+def run() -> None:
+    """The process entry point: `main`, then an exit that skips interpreter
+    teardown once stdout and stderr are flushed. Under `python -X dev` it
+    exits through `sys.exit`, so teardown's ResourceWarnings still show, and
+    so it does when a flush fails."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        sys.exit(_stdout_lost(exc))
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    if sys.flags.dev_mode:
+        sys.exit(code)
+    os._exit(code)

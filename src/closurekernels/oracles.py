@@ -126,11 +126,15 @@ def capvc_assignment_feasible(g: Graph, cover: frozenset[int], cap: tuple[int, .
     Each edge is placed by a breadth-first search for a cover vertex with
     spare capacity, moving placed edges to their other endpoint on the way.
     """
-    if not is_vertex_cover(g, cover):
-        return False
+    return is_vertex_cover(g, cover) and _place_edges(g.edges(), cover, cap)
+
+
+def _place_edges(edges: list[tuple[int, int]], cover: frozenset[int],
+                 cap: tuple[int, ...]) -> bool:
+    """`capvc_assignment_feasible` for a `cover` known to cover `edges`."""
     remaining = {v: max(cap[v], 0) for v in cover}
     held: dict[int, list[tuple[int, int]]] = {v: [] for v in cover}
-    for e in g.edges():
+    for e in edges:
         # came[w] = (the edge that moves into w, the vertex it leaves)
         came = {w: (e, None) for w in e if w in cover}
         queue = list(came)
@@ -187,13 +191,13 @@ def solve_capvc_exact(g: Graph, cap: tuple[int, ...], k: int,
         nonlocal checks
         # feasibility is monotone under adding vertices, so padding with
         # the largest affordable set of takers decides every smaller
-        # padding as well
+        # padding as well; base covers every edge, so each padding does
         members = frozenset(v for v in g.vertices() if base >> v & 1)
         pool = [v for v in takers if not base >> v & 1]
         for add in combinations(pool, min(k - len(members), len(pool))):
             checks += 1
             s = members.union(add)
-            if capvc_assignment_feasible(g, s, cap):
+            if _place_edges(edges, s, cap):
                 return s
         return None
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -589,6 +590,36 @@ class TestEntryPoints:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    # subcommand: every option its --help must list
+    HELP_OPTIONS = {
+        "params": ["path", "--oracle-cap"],
+        "kernel": ["[problem] path", "--mode", "--k", "--ell", "--out", "--trace"],
+        "solve": ["{capvc,convc,coc,im,ds,is}", "path", "--k", "--ell", "--oracle-cap",
+                  "--witness"],
+        "verify": ["--trials", "--seed", "--suite", "--dump-dir"],
+        "generate": ["{split,bipartite,weakly-closed,k-ab,capvc-hard,is-grid}", "--n",
+                     "--gamma", "--a", "--b", "--t", "--q", "--k", "--sets", "--pattern",
+                     "--ell", "--seed", "--kind", "--out"],
+    }
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "{params,kernel,solve,verify,generate}" in out
+        for help_line in ("params              parameter report for an instance file",
+                          "kernel              run a reduction pipeline",
+                          "solve               exact oracle answer with witness",
+                          "verify              run the cross-checking suites",
+                          "generate            write an instance from a family"):
+            assert help_line in out
+
+    @pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+    def test_subcommand_help_lists_every_option(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and out.startswith(f"usage: closurekernels {command} ")
+        for option in self.HELP_OPTIONS[command]:
+            assert re.search(rf"^  {re.escape(option)}( |$)", out, re.M), option
+
     def test_internal_error_exit_code(self, capsys, tmp_path, monkeypatch):
         def boom(args):
             raise RuntimeError("broken\ninvariant")
@@ -614,6 +645,104 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "weak-closure: 3" in proc.stdout
+
+
+def module_env(unbuffered: bool = False) -> dict:
+    """The environment for a CLI process that imports the package from
+    src/, with stdout block-buffered unless `unbuffered`."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# runs the package's __main__ as `python -m closurekernels` does, after
+# `patch`, with an exit handler that shows whether teardown ran
+AS_MAIN = """
+import atexit, runpy, sys
+from closurekernels import cli
+atexit.register(print, "teardown ran", file=sys.stderr)
+{patch}
+runpy.run_module("closurekernels", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessExit:
+    """A CLI process ends with `os._exit` once its output is flushed
+    (`cli.run`); what its caller sees must be what `cli.main` gives in
+    process."""
+
+    @pytest.mark.parametrize("text, argv, code", [
+        (C4_GRAPH, ["params"], 0),
+        (C4_CONVC, ["kernel", "im"], 2),
+        (None, ["kernel"], 2),
+        ("p graph 2 1 0\ne 0 x\n", ["params"], 3),
+    ], ids=["ok", "usage", "argparse-usage", "parse"])
+    def test_module_matches_main(self, capsys, tmp_path, text, argv, code):
+        if text is not None:
+            argv = [*argv, write(tmp_path, "a.ck", text)]
+        want = run(capsys, *argv)
+        assert want[0] == code
+        proc = subprocess.run([sys.executable, "-m", "closurekernels", *argv],
+                              capture_output=True, text=True, env=module_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    def test_internal_error_matches_main(self, capsys, tmp_path, monkeypatch):
+        def boom(args):
+            raise RuntimeError("broken\ninvariant")
+
+        src = write(tmp_path, "a.ck", C4_GRAPH)
+        monkeypatch.setattr("closurekernels.cli.cmd_params", boom)
+        want = run(capsys, "params", src)
+        assert want[0] == 4
+        patch = "def boom(args):\n    raise RuntimeError('broken\\ninvariant')\ncli.cmd_params = boom"
+        proc = subprocess.run([sys.executable, "-c", AS_MAIN.format(patch=patch), "params", src],
+                              capture_output=True, text=True, env=module_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_large_stdout_arrives_whole(self, capsys, unbuffered):
+        argv = ["generate", "split", "--n", "400", "--seed", "1"]
+        code, want, _ = run(capsys, *argv)
+        assert code == 0 and len(want) > 65536  # more than a pipe holds
+        proc = subprocess.run([sys.executable, "-m", "closurekernels", *argv],
+                              capture_output=True, text=True, env=module_env(unbuffered))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["params", "{src}"],
+        ["generate", "split", "--n", "400", "--seed", "1"],
+    ], ids=["small", "large"])
+    def test_closed_stdout_is_a_usage_error(self, tmp_path, argv, unbuffered):
+        argv = [a.format(src=write(tmp_path, "a.ck", C4_GRAPH)) for a in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader, so every write to the pipe fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "closurekernels", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=module_env(unbuffered))
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
+
+    def test_dev_mode_warnings_leave_stderr_empty(self, tmp_path):
+        src = write(tmp_path, "a.ck", C4_GRAPH)
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "closurekernels", "params", src],
+            capture_output=True, text=True, env=module_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "weak-closure: 3" in proc.stdout
+
+    @pytest.mark.parametrize("dev", [False, True], ids=["plain", "dev-mode"])
+    def test_teardown_runs_only_in_dev_mode(self, tmp_path, dev):
+        src = write(tmp_path, "a.ck", C4_GRAPH)
+        flags = ["-X", "dev"] if dev else []
+        proc = subprocess.run([sys.executable, *flags, "-c", AS_MAIN.format(patch=""),
+                               "params", src], capture_output=True, text=True, env=module_env())
+        assert proc.returncode == 0 and "weak-closure: 3" in proc.stdout
+        assert proc.stderr == ("teardown ran\n" if dev else "")
 
 
 def run_fresh(code: str) -> str:
@@ -648,13 +777,15 @@ print("subprocess", "subprocess" in sys.modules)
     # route: (input file, command before its path, modules that must not run)
     ROUTES = {
         "params": (C4_GRAPH, ["params"],
-                   ("capvc", "convc", "domset", "induced_matching", "combinatorics")),
-        "kernel-im": (C4_IM, ["kernel", "im"], ("capvc", "convc", "domset")),
+                   ("capvc", "convc", "domset", "induced_matching", "combinatorics",
+                    "commands")),
+        "kernel-im": (C4_IM, ["kernel", "im"], ("capvc", "convc", "domset", "commands")),
         "kernel-convc": (C4_CONVC, ["kernel", "convc"],
-                         ("capvc", "domset", "induced_matching", "combinatorics")),
+                         ("capvc", "domset", "induced_matching", "combinatorics", "commands")),
         "kernel-capvc": (C4_CAPVC, ["kernel", "capvc"],
-                         ("convc", "domset", "induced_matching", "combinatorics")),
-        "kernel-ds": (SPLIT_DS, ["kernel", "ds"], ("capvc", "convc", "induced_matching")),
+                         ("convc", "domset", "induced_matching", "combinatorics", "commands")),
+        "kernel-ds": (SPLIT_DS, ["kernel", "ds"],
+                      ("capvc", "convc", "induced_matching", "commands")),
         "solve-im": (C4_IM, ["solve", "im"], ("verify", "ramsey")),
     }
 
@@ -670,14 +801,14 @@ import sys
 from closurekernels import cli
 assert cli.main({argv!r}) == 0
 for name in ("capvc", "convc", "domset", "induced_matching", "combinatorics",
-             "oracles", "verify", "generators", "ramsey"):
+             "oracles", "verify", "generators", "ramsey", "commands"):
     module = sys.modules.get("closurekernels." + name)
     print(name, "absent" if module is None else type(module).__name__)
 print("dataclasses", "dataclasses" in sys.modules)
 print("subprocess", "subprocess" in sys.modules)
 print("json", "json" in sys.modules)
 """)
-        state = dict(line.split() for line in out.splitlines()[-12:])
+        state = dict(line.split() for line in out.splitlines()[-13:])
         for name in unloaded:
             assert state[name] in ("absent", "_LazyModule"), (name, state)
         assert state["dataclasses"] == "False" and state["subprocess"] == "False"
