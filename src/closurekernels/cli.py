@@ -7,11 +7,11 @@ a validated witness), verify (randomized cross-checking suites), generate
 
 Exit codes are a stable contract: 0 success or decided, 1 verification suite
 failure, 2 usage error (kind mismatches, oracle cap overruns, unwritable
-output paths, a closed stdout), 3 instance parse error, 4 internal error (an
-exception no other code covers, such as a witness that fails its re-check;
-reported as one stderr line `internal error: <Type>: <message>`). Output
-files are overwritten in place, following symlinks. Witness lines name the
-input file's vertex labels.
+output paths, any failed write to stdout), 3 instance parse error, 4
+internal error (an exception no other code covers, such as a witness that
+fails its re-check; reported as one stderr line `internal error: <Type>:
+<message>`). Output files are overwritten in place, following symlinks.
+Witness lines name the input file's vertex labels.
 
 Each call loads only the modules its route runs. This module holds params
 and kernel; solve, verify and generate are in `commands`, and the parser
@@ -101,9 +101,22 @@ def _write_file(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+class _StdoutLost(Exception):
+    """A write to stdout failed; the OSError is the cause."""
+
+
+def _say(text: str, end: str = "\n") -> None:
+    """Write to stdout. Every command writes there through this, so that
+    `main` tells a failed stdout write from any other OSError."""
+    try:
+        sys.stdout.write(text + end)
+    except OSError as exc:
+        raise _StdoutLost from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        _say(text, end="")
     else:
         _write_file(out_path, text)
 
@@ -148,7 +161,7 @@ def cmd_params(args) -> int:
         lines.append(f"omega: skipped (n above --oracle-cap {args.oracle_cap})")
     lines.append(f"check weak-closure <= closure: {'ok' if wc <= cl else 'VIOLATED'}")
     lines.append(f"check weak-closure <= degeneracy + 1: {'ok' if wc <= d + 1 else 'VIOLATED'}")
-    print("\n".join(lines))
+    _say("\n".join(lines))
     return 0
 
 
@@ -231,8 +244,8 @@ def cmd_kernel(args) -> int:
     if args.out is not None:
         applied = len(trace["rules"])
         tail = f", decided {'yes' if decided['answer'] else 'no'}" if decided else ""
-        print(f"kernel: {applied} rule applications, "
-              f"{g.n} -> {reduced_problem.graph.n} vertices{tail}")
+        _say(f"kernel: {applied} rule applications, "
+             f"{g.n} -> {reduced_problem.graph.n} vertices{tail}")
     return 0
 
 
@@ -332,9 +345,9 @@ def _kernel_operands(error, operands: list[str], extra: list[str]) -> tuple[str 
 
 
 def _stdout_lost(exc: OSError) -> int:
-    """Report a failed write to stdout, such as a closed pipe, as a usage
-    error, and point fd 1 at os.devnull so that the output still buffered
-    cannot fail again at exit."""
+    """Report a failed write to stdout, such as a closed pipe or a full
+    device, as a usage error, and point fd 1 at os.devnull so that the
+    output still buffered cannot fail again at exit."""
     print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
@@ -368,8 +381,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError as exc:  # output files map their errors to UsageError
-        return _stdout_lost(exc)
+    except _StdoutLost as exc:  # output files map their errors to UsageError
+        return _stdout_lost(exc.__cause__)
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

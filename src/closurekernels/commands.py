@@ -17,6 +17,7 @@ from .cli import (
     _load_problem,
     _random_triples,
     _read_instance,
+    _say,
     _write_file,
     generators,
     oracles,
@@ -62,9 +63,9 @@ def cmd_solve(args) -> int:
         lines = _validated_witness(problem, res.witness, inst.labels)
         if args.witness is not None:
             _write_file(args.witness, "c validated witness\n" + "\n".join(lines) + "\n")
-    print(f"answer: {'yes' if res.answer else 'no'}")
+    _say(f"answer: {'yes' if res.answer else 'no'}")
     if lines is not None:
-        print(f"witness: {len(lines)} lines (validated)")
+        _say(f"witness: {len(lines)} lines (validated)")
     return 0
 
 
@@ -96,9 +97,9 @@ def cmd_verify(args) -> int:
     dumped = 0
     for name in names:
         result = verify_mod.run_suite(name, trials=args.trials, seed=args.seed)
-        print(result.summary())
+        _say(result.summary())
         for message in result.failures:
-            print(f"  {message}")
+            _say(f"  {message}")
         if not result.passed:
             failed = True
         if result.artifacts:
@@ -109,7 +110,7 @@ def cmd_verify(args) -> int:
         for artifact in result.artifacts:
             path = os.path.join(args.dump_dir, f"{result.name}-{dumped}.ck")
             _write_file(path, write_instance(artifact))
-            print(f"  counterexample written to {path}")
+            _say(f"  counterexample written to {path}")
             dumped += 1
     return 1 if failed else 0
 
@@ -145,6 +146,8 @@ def cmd_generate(args) -> int:
         fam = _random_triples(3 * args.k, args.sets, args.seed)
         out = from_problem(generators.gen_capvc_lowerbound(3 * args.k, fam, 3, args.k))
     elif family == "is-grid":
+        if args.t < 2 or args.q < 2:  # before t ** q, which fails or is a float at q < 0
+            raise UsageError("need q >= 2, t >= 2, k >= 1")
         size = args.t ** args.q
         pattern = args.pattern if args.pattern is not None else "0" * size
         if len(pattern) != size or set(pattern) - {"0", "1"}:

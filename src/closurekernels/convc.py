@@ -115,14 +115,11 @@ def find_simplicial(g: Graph) -> int | None:
 
 def simplicial_rule(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstance | Decided, dict | None]:
     """Remove the smallest simplicial vertex of a connected graph on >= 3
-    vertices. A red vertex costs one unit of budget; a white or degree-one
-    vertex turns its whole neighborhood red. Budget exhaustion decides No."""
+    vertices; on any other graph the rule does not fire. A red vertex costs
+    one unit of budget; a white or degree-one vertex turns its whole
+    neighborhood red. Budget exhaustion decides No."""
     g, red, k = inst.graph, inst.red, inst.k
-    if g.n < 3:
-        raise ValueError("simplicial rule needs at least 3 vertices")
-    if len(connected_components(g)) != 1:
-        raise ValueError("simplicial rule needs a connected graph")
-    v = find_simplicial(g)
+    v = find_simplicial(g) if g.n >= 3 and len(connected_components(g)) == 1 else None
     if v is None:
         return inst, None
     was_red = v in red
@@ -137,15 +134,6 @@ def simplicial_rule(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstanc
     if new_k < 0:
         return Decided(False, "budget exhausted"), {"rule": "simplicial", "decided": "no"}
     return inst.without([v], red=red | g.adj(v) if spread else red, k=new_k), entry
-
-
-def _simplicial_where_defined(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstance | Decided, dict | None]:
-    """The simplicial rule on connected graphs with at least 3 vertices;
-    elsewhere it does not fire."""
-    g = inst.graph
-    if g.n < 3 or len(connected_components(g)) != 1:
-        return inst, None
-    return simplicial_rule(inst)
 
 
 def attach_leaves(inst: AnnotatedConVcInstance) -> ConVcInstance:
@@ -169,7 +157,7 @@ def decided_instance(decision: Decided) -> AnnotatedConVcInstance:
 
 def kernelize_convc_annotated(inst: AnnotatedConVcInstance) -> tuple[AnnotatedConVcInstance | Decided, list[dict]]:
     """Trivial rules and the simplicial rule to exhaustion."""
-    return exhaust(inst, (trivial_rules, _simplicial_where_defined))
+    return exhaust(inst, (trivial_rules, simplicial_rule))
 
 
 def annotated_bound_report(inst: AnnotatedConVcInstance) -> dict:

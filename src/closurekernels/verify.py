@@ -3,9 +3,15 @@
 Every suite draws seeded random instances, recomputes the claimed property
 with an independent method (usually a brute-force oracle), and reports a
 SuiteResult. Counterexamples are attached as instance files so the CLI can
-dump them for offline inspection. The acceptance tests call the same suite
-functions at full scale; the CLI `verify` command runs them at a size chosen
-by --trials.
+dump them for offline inspection.
+
+Every suite has one contract, `suite_<name>(trials=<its default>, seed=0)
+-> SuiteResult`, and `run_suite` calls it with the seed, and with the trial
+count when one is given (`verify --trials`). `trials` counts random draws:
+per rule in rule-safety, and `trials // 20` graphs per size (at least one)
+in ramsey-guarantee. composition-patterns (16 fixed checks) and determinism
+(7) accept it and ignore it. The acceptance tests call the same suite
+functions at full scale.
 
 Suites never raise on a property violation. They raise only on programming
 errors (bad arguments, broken invariants inside the suite itself).
@@ -27,7 +33,7 @@ from .closure import (
     verify_closure_ordering,
     weak_closure_ordering,
 )
-from .graph import Graph, Record, complete_graph, cycle_graph, delete_vertices, path_graph
+from .graph import Graph, complete_graph, cycle_graph, delete_vertices, path_graph
 from .instance_io import InstanceFile, IsInstance, from_problem, write_instance
 from .reduction import Decided
 
@@ -44,30 +50,12 @@ oracles = _lazy("oracles")
 ramsey = _lazy("ramsey")
 
 
-class SuiteResult(Record):
-    """Outcome of one suite: pass/fail, how many checks ran, what broke."""
-
-    __slots__ = ("name", "passed", "checked", "failures", "artifacts")
-    name: str
-    passed: bool
-    checked: int
-    failures: tuple[str, ...]
-    artifacts: tuple[InstanceFile, ...]
-    _defaults = {"failures": (), "artifacts": ()}
-
-    def summary(self) -> str:
-        word = "ok" if self.passed else "FAIL"
-        line = f"{self.name}: {word} ({self.checked} checks"
-        if self.failures:
-            line += f", {len(self.failures)} failures"
-        return line + ")"
-
-
 _MAX_FAILURES = 5
 
 
-class _Recorder:
-    """Collects failures up to a cap so broken suites stay fast."""
+class SuiteResult:
+    """One suite's outcome, filled in as it runs: how many checks ran, and
+    what broke, up to a cap on failures so broken suites stay fast."""
 
     def __init__(self, name: str):
         self.name = name
@@ -89,9 +77,16 @@ class _Recorder:
     def saturated(self) -> bool:
         return len(self.failures) >= _MAX_FAILURES
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, not self.failures, self.checked,
-                           tuple(self.failures), tuple(self.artifacts))
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def summary(self) -> str:
+        word = "ok" if self.passed else "FAIL"
+        line = f"{self.name}: {word} ({self.checked} checks"
+        if self.failures:
+            line += f", {len(self.failures)} failures"
+        return line + ")"
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -99,12 +94,15 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
-def _random_connected(rng: random.Random, n: int, p: float) -> Graph:
-    g = _random_graph(rng, n, p)
-    edges = set(g.edges())
-    for v in range(1, n):
-        edges.add((rng.randrange(v), v))
-    return Graph(n, sorted(edges))
+def _draw_graph(rng: random.Random, lo: int, hi: int, densities: tuple[float, ...]) -> Graph:
+    """G(n, p) for n drawn from [lo, hi] and p from densities: `randint`,
+    then `choice`, then one `random()` per pair."""
+    n = rng.randint(lo, hi)
+    return _random_graph(rng, n, rng.choice(densities))
+
+
+def _random_red(rng: random.Random, n: int) -> frozenset[int]:
+    return frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
 
 
 def _random_split(rng: random.Random, max_n: int) -> Graph:
@@ -127,14 +125,12 @@ def suite_parameter_engines(trials: int = 5000, seed: int = 0) -> SuiteResult:
     """Greedy weak closure against the subset-DP optimum, the closure and
     degeneracy dominations, and the prefix/suffix intersection invariant of
     the emitted ordering on every nonadjacent pair."""
-    rec = _Recorder("parameter-engines")
+    rec = SuiteResult("parameter-engines")
     rng = random.Random(f"verify:params:{seed}")
-    densities = (0.15, 0.3, 0.5, 0.7, 0.9)
     for _ in range(trials):
         if rec.saturated:
             break
-        n = rng.randint(0, 8)
-        g = _random_graph(rng, n, rng.choice(densities))
+        g = _draw_graph(rng, 0, 8, (0.15, 0.3, 0.5, 0.7, 0.9))
         ordering = weak_closure_ordering(g)
         wc = ordering.weak_closure
         problems: list[str] = []
@@ -163,7 +159,7 @@ def suite_parameter_engines(trials: int = 5000, seed: int = 0) -> SuiteResult:
             rec.fail("; ".join(problems), from_problem(g))
         else:
             rec.ok()
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -177,45 +173,35 @@ def _answer(inst) -> bool:
     return oracles.solve_exact(inst, max_n=12).answer
 
 
-class RuleCase(Record):
-    __slots__ = ("name", "sample", "step", "pipeline")
-    name: str
-    sample: Callable[[random.Random], object]
-    step: Callable[[object], tuple]
-    pipeline: Callable[[object], tuple]
+_RULE_DENSITIES = (0.15, 0.3, 0.5)
 
 
 def _sample_capvc(rng: random.Random):
-    n = rng.randint(1, 11)
-    g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    cap = tuple(rng.randint(0, 4) for _ in range(n))
+    g = _draw_graph(rng, 1, 11, _RULE_DENSITIES)
+    cap = tuple(rng.randint(0, 4) for _ in range(g.n))
     return capvc.CapVcInstance(g, cap, rng.randint(0, 4))
 
 
 def _sample_convc(rng: random.Random):
-    n = rng.randint(1, 11)
-    g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    return convc.ConVcInstance(g, rng.randint(0, 4))
+    return convc.ConVcInstance(_draw_graph(rng, 1, 11, _RULE_DENSITIES), rng.randint(0, 4))
 
 
 def _sample_annotated(rng: random.Random):
-    n = rng.randint(1, 11)
-    g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    red = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
-    return convc.AnnotatedConVcInstance(g, red, rng.randint(0, 4))
+    g = _draw_graph(rng, 1, 11, _RULE_DENSITIES)
+    return convc.AnnotatedConVcInstance(g, _random_red(rng, g.n), rng.randint(0, 4))
 
 
 def _sample_annotated_connected(rng: random.Random):
-    n = rng.randint(3, 11)
-    g = _random_connected(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    red = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
-    return convc.AnnotatedConVcInstance(g, red, rng.randint(0, 4))
+    g = _draw_graph(rng, 3, 11, _RULE_DENSITIES)
+    # an edge to a random earlier vertex for every vertex but the first
+    edges = set(g.edges()) | {(rng.randrange(v), v) for v in range(1, g.n)}
+    g = Graph(g.n, sorted(edges))
+    return convc.AnnotatedConVcInstance(g, _random_red(rng, g.n), rng.randint(0, 4))
 
 
 def _sample_im(rng: random.Random):
-    n = rng.randint(1, 11)
-    g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
-    return induced_matching.ImInstance(g, rng.randint(0, 4))
+    return induced_matching.ImInstance(_draw_graph(rng, 1, 11, _RULE_DENSITIES),
+                                       rng.randint(0, 4))
 
 
 def _sample_ds(rng: random.Random):
@@ -234,82 +220,75 @@ def _sample_ds_no_isolated(rng: random.Random):
 
 
 def _sample_coc(rng: random.Random):
-    n = rng.randint(1, 11)
-    g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+    g = _draw_graph(rng, 1, 11, _RULE_DENSITIES)
     return convc.CocInstance(g, rng.randint(1, 2), rng.randint(0, 4))
 
 
-def _rule_cases() -> tuple[RuleCase, ...]:
-    """The rule-safety cases. Built per call, like kernel-size-bounds'
-    families, so that importing `verify` loads no problem module and a
-    function rebound by a tracer is the one called."""
+def _rule_cases() -> tuple[tuple, ...]:
+    """The rule-safety cases, (name, sample, step, pipeline). Built per
+    call, like kernel-size-bounds' families, so that importing `verify`
+    loads no problem module and a function rebound by a tracer is the one
+    called."""
     cv, im, ds = convc, induced_matching, domset
     return (
-        RuleCase("capvc-twin-crown", _sample_capvc, capvc.twin_crown_rule, capvc.kernelize_capvc),
-        RuleCase("convc-twinset", _sample_convc, cv.twinset_rule, cv.kernelize_convc),
-        RuleCase("convc-isolated", _sample_annotated, cv.trivial_rules,
-                 cv.kernelize_convc_annotated),
-        RuleCase("convc-simplicial", _sample_annotated_connected, cv.simplicial_rule,
-                 cv.kernelize_convc_annotated),
-        RuleCase("im-dense-posterior", _sample_im, im.dense_posterior_rule, im.kernelize_im),
-        RuleCase("im-lp-threshold", _sample_im, im.lp_threshold_rule, im.kernelize_im),
-        RuleCase("im-twin", _sample_im, im.im_twin_rule, im.kernelize_im),
-        RuleCase("ds-isolated", _sample_ds, ds.isolated_rule, ds.kernelize_ds_split),
-        RuleCase("ds-covers-clique", _sample_ds, ds.covers_clique_rule, ds.kernelize_ds_split),
-        RuleCase("ds-dominated-clique", _sample_ds, ds.dominated_clique_vertex_rule,
-                 ds.kernelize_ds_split),
-        RuleCase("ds-dominated-independent", _sample_ds_no_isolated,
-                 ds.dominated_independent_vertex_rule, ds.kernelize_ds_split),
-        RuleCase("ds-sunflower", _sample_ds, ds.sunflower_rule, ds.kernelize_ds_split),
-        RuleCase("coc-small-component", _sample_coc, cv.small_component_rule, cv.kernelize_coc),
-        RuleCase("coc-component-twin", _sample_coc, cv.component_twin_rule, cv.kernelize_coc),
+        ("capvc-twin-crown", _sample_capvc, capvc.twin_crown_rule, capvc.kernelize_capvc),
+        ("convc-twinset", _sample_convc, cv.twinset_rule, cv.kernelize_convc),
+        ("convc-isolated", _sample_annotated, cv.trivial_rules, cv.kernelize_convc_annotated),
+        ("convc-simplicial", _sample_annotated_connected, cv.simplicial_rule,
+         cv.kernelize_convc_annotated),
+        ("im-dense-posterior", _sample_im, im.dense_posterior_rule, im.kernelize_im),
+        ("im-lp-threshold", _sample_im, im.lp_threshold_rule, im.kernelize_im),
+        ("im-twin", _sample_im, im.im_twin_rule, im.kernelize_im),
+        ("ds-isolated", _sample_ds, ds.isolated_rule, ds.kernelize_ds_split),
+        ("ds-covers-clique", _sample_ds, ds.covers_clique_rule, ds.kernelize_ds_split),
+        ("ds-dominated-clique", _sample_ds, ds.dominated_clique_vertex_rule,
+         ds.kernelize_ds_split),
+        ("ds-dominated-independent", _sample_ds_no_isolated,
+         ds.dominated_independent_vertex_rule, ds.kernelize_ds_split),
+        ("ds-sunflower", _sample_ds, ds.sunflower_rule, ds.kernelize_ds_split),
+        ("coc-small-component", _sample_coc, cv.small_component_rule, cv.kernelize_coc),
+        ("coc-component-twin", _sample_coc, cv.component_twin_rule, cv.kernelize_coc),
     )
 
 
-def __getattr__(name: str):
-    # `from closurekernels.verify import RULE_CASES` builds the cases then
-    if name == "RULE_CASES":
-        return _rule_cases()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def suite_rule_safety(trials_per_rule: int = 1000, seed: int = 0,
+def suite_rule_safety(trials: int = 1000, seed: int = 0,
                       rule_overrides: dict[str, Callable] | None = None) -> SuiteResult:
-    """Answer preservation of every reduction rule, one step and to exhaustion.
+    """Answer preservation of every reduction rule, one step and to
+    exhaustion, on `trials` instances per rule.
 
     rule_overrides swaps in a replacement single-step function by case name;
     the negative-control test uses it to check the suite catches an unsound
     rule.
     """
-    rec = _Recorder("rule-safety")
+    rec = SuiteResult("rule-safety")
     overrides = rule_overrides or {}
     cases = _rule_cases()
-    unknown = set(overrides) - {case.name for case in cases}
+    unknown = set(overrides) - {name for name, *_ in cases}
     if unknown:
         raise ValueError(f"unknown rule names: {sorted(unknown)}")
-    for case in cases:
-        step = overrides.get(case.name, case.step)
-        rng = random.Random(f"verify:rules:{case.name}:{seed}")
-        for _ in range(trials_per_rule):
+    for name, sample, step, pipeline in cases:
+        step = overrides.get(name, step)
+        rng = random.Random(f"verify:rules:{name}:{seed}")
+        for _ in range(trials):
             if rec.saturated:
                 break
-            inst = case.sample(rng)
+            inst = sample(rng)
             before = _answer(inst)
             stepped, entry = step(inst)
             after_step = _answer(stepped)
-            reduced, _trace = case.pipeline(inst)
+            reduced, _trace = pipeline(inst)
             after_pipeline = _answer(reduced)
             if before != after_step:
-                rec.fail(f"{case.name}: single step flipped the answer "
+                rec.fail(f"{name}: single step flipped the answer "
                          f"({before} -> {after_step}, entry {entry})",
                          from_problem(inst))
             elif before != after_pipeline:
-                rec.fail(f"{case.name}: pipeline flipped the answer "
+                rec.fail(f"{name}: pipeline flipped the answer "
                          f"({before} -> {after_pipeline})",
                          from_problem(inst))
             else:
                 rec.ok()
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +304,7 @@ def _random_cover_family(rng: random.Random, universe: int, lam: int, count: int
 def suite_setcover_gadget(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Generated capacitated instances answer exactly like the disjoint
     set-cover oracle, stay 7-closed, and hit the edge-count formula."""
-    rec = _Recorder("setcover-gadget")
+    rec = SuiteResult("setcover-gadget")
     rng = random.Random(f"verify:gadget:{seed}")
     lam = 3
     for t in range(trials):
@@ -352,18 +331,18 @@ def suite_setcover_gadget(trials: int = 200, seed: int = 0) -> SuiteResult:
                      from_problem(inst))
         else:
             rec.ok()
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
 # suite 4: composition patterns
 
 
-def suite_composition_patterns() -> SuiteResult:
+def suite_composition_patterns(trials: int = 16, seed: int = 0) -> SuiteResult:
     """All 16 yes/no input patterns for the q=2, t=2, k=1 composition, plus
     the selector-path layout: the host has an independent set of the target
-    size exactly when some input is a yes."""
-    rec = _Recorder("composition-patterns")
+    size exactly when some input is a yes. trials and seed are ignored."""
+    rec = SuiteResult("composition-patterns")
     yes = (Graph(1), [(0,)])
     no = (Graph(0), [()])
     q, t, k = 2, 2, 1
@@ -399,26 +378,26 @@ def suite_composition_patterns() -> SuiteResult:
             rec.fail(f"pattern {pattern}: " + "; ".join(problems))
         else:
             rec.ok()
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
 # suite 5: kernel size bounds
 
 
+_SIZED_DENSITIES = (0.2, 0.4, 0.7)
+
+
 def _sized_capvc(rng: random.Random):
-    n = rng.randint(3, 9)
-    g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
+    g = _draw_graph(rng, 3, 9, _SIZED_DENSITIES)
     if g.m > 16:
         return None
     k = rng.randint(1, 3)
-    return capvc.CapVcInstance(g, tuple(rng.randint(0, 3) for _ in range(n)), k)
+    return capvc.CapVcInstance(g, tuple(rng.randint(0, 3) for _ in range(g.n)), k)
 
 
 def _sized_convc(rng: random.Random):
-    n = rng.randint(3, 10)
-    g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
-    return convc.ConVcInstance(g, rng.randint(1, 3))
+    return convc.ConVcInstance(_draw_graph(rng, 3, 10, _SIZED_DENSITIES), rng.randint(1, 3))
 
 
 def _sized_ds(rng: random.Random):
@@ -426,10 +405,8 @@ def _sized_ds(rng: random.Random):
 
 
 def _sized_annotated(rng: random.Random):
-    n = rng.randint(3, 10)
-    g = _random_graph(rng, n, rng.choice((0.2, 0.4, 0.7)))
-    red = frozenset(rng.sample(range(n), rng.randint(0, 2)))
-    return convc.AnnotatedConVcInstance(g, red, rng.randint(1, 3))
+    g = _draw_graph(rng, 3, 10, _SIZED_DENSITIES)
+    return convc.AnnotatedConVcInstance(g, _random_red(rng, g.n), rng.randint(1, 3))
 
 
 def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
@@ -437,7 +414,7 @@ def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
     capacitated and connected vertex cover against the neighborhood-class
     bound, the split dominating set against the factorial bound, and the
     annotated connected cover against the quadratic closure bound."""
-    rec = _Recorder("kernel-size-bounds")
+    rec = SuiteResult("kernel-size-bounds")
     rng = random.Random(f"verify:sizes:{seed}")
     # built per call, so functions rebound by a tracer are the ones called
     families = (
@@ -463,7 +440,7 @@ def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
             else:
                 rec.fail(f"{label} reduced instance exceeds its size bound: {report}",
                          from_problem(out))
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +450,7 @@ def suite_kernel_size_bounds(trials: int = 150, seed: int = 0) -> SuiteResult:
 def suite_biclique_certificate(trials: int = 500, seed: int = 0) -> SuiteResult:
     """No graph contains a complete bipartite subgraph with both sides of
     size weak closure + clique number + 1."""
-    rec = _Recorder("biclique-certificate")
+    rec = SuiteResult("biclique-certificate")
     rng = random.Random(f"verify:biclique:{seed}")
     for t in range(trials):
         if rec.saturated:
@@ -491,21 +468,22 @@ def suite_biclique_certificate(trials: int = 500, seed: int = 0) -> SuiteResult:
             rec.ok()
         else:
             rec.fail(f"biclique found: {report}", from_problem(g))
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
 # suite 7: ramsey guarantee
 
 
-def suite_ramsey_guarantee(seed: int = 0, samples_per_size: int = 3) -> SuiteResult:
-    """Above the guarantee threshold a witness must come back and validate."""
-    rec = _Recorder("ramsey-guarantee")
+def suite_ramsey_guarantee(trials: int = 60, seed: int = 0) -> SuiteResult:
+    """Above the guarantee threshold a witness must come back and validate,
+    on trials // 20 graphs (at least one) per size and weak closure target."""
+    rec = SuiteResult("ramsey-guarantee")
     rng = random.Random(f"verify:ramsey:{seed}")
     graphs: list[Graph] = []
     for target in (1, 2):
         for n in range(1, 21):
-            for _ in range(samples_per_size):
+            for _ in range(max(1, trials // 20)):
                 try:
                     g = generators.gen_random_weakly_closed(n, target, rng.randrange(2 ** 30))
                 except ValueError:
@@ -530,7 +508,7 @@ def suite_ramsey_guarantee(seed: int = 0, samples_per_size: int = 3) -> SuiteRes
                              from_problem(g))
                 else:
                     rec.ok()
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +546,14 @@ def _brute_vclp_total2(g: Graph) -> int:
 
 def suite_vclp_exactness(trials: int = 300, seed: int = 0) -> SuiteResult:
     """Combinatorial LP solver against exhaustive half-integral search."""
-    rec = _Recorder("vclp-exactness")
+    rec = SuiteResult("vclp-exactness")
     rng = random.Random(f"verify:vclp:{seed}")
     k_ab = generators.gen_k_ab
     fixed = [Graph(0), Graph(1), path_graph(4), cycle_graph(5), cycle_graph(6),
              complete_graph(4), k_ab(3, 3), k_ab(2, 5), path_graph(10)]
     pool: list[Graph] = list(fixed)
     for _ in range(trials):
-        n = rng.randint(0, 10)
-        pool.append(_random_graph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8))))
+        pool.append(_draw_graph(rng, 0, 10, (0.2, 0.4, 0.6, 0.8)))
     for g in pool:
         if rec.saturated:
             break
@@ -594,7 +571,7 @@ def suite_vclp_exactness(trials: int = 300, seed: int = 0) -> SuiteResult:
             rec.fail("; ".join(problems), from_problem(g))
         else:
             rec.ok()
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +620,11 @@ def _kernel_command_bytes(workdir: str, hashseeds: tuple[str, ...]) -> list[tupl
     return results
 
 
-def suite_determinism(seed: int = 0) -> SuiteResult:
+def suite_determinism(trials: int = 7, seed: int = 0) -> SuiteResult:
     """Byte-identical generator output and kernel command output across
     repeat runs (the command twice, side by side, in fresh interpreters
-    with different hash seeds)."""
-    rec = _Recorder("determinism")
+    with different hash seeds). trials is ignored."""
+    rec = SuiteResult("determinism")
 
     gen = generators
     pairs = [
@@ -684,12 +661,12 @@ def suite_determinism(seed: int = 0) -> SuiteResult:
             first, second = _kernel_command_bytes(workdir, ("1", "2"))
         except _CommandFailed as exc:
             rec.fail(str(exc))
-            return rec.result()
+            return rec
     if first != second:
         rec.fail("kernel command output differs between runs")
     else:
         rec.ok()
-    return rec.result()
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -710,18 +687,8 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResult:
-    """Run one suite by registry name, scaling trial counts when given."""
+    """Run one suite by registry name, at its own trial count unless given."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     fn = SUITES[name]
-    kwargs: dict = {}
-    if name not in ("composition-patterns",):
-        kwargs["seed"] = seed
-    if trials is not None:
-        if name == "rule-safety":
-            kwargs["trials_per_rule"] = trials
-        elif name == "ramsey-guarantee":
-            kwargs["samples_per_size"] = max(1, trials // 20)
-        elif name not in ("composition-patterns", "determinism"):
-            kwargs["trials"] = trials
-    return fn(**kwargs)
+    return fn(seed=seed) if trials is None else fn(trials=trials, seed=seed)

@@ -38,7 +38,7 @@ def test_criterion_2_rule_safety():
     seeded instances (n <= 11, k <= 4, ell <= 2, caps <= 4), both after one
     application and after running its pipeline to exhaustion."""
     started = time.time()
-    _finish(suite_rule_safety(trials_per_rule=1000, seed=0), started, 600, 14000)
+    _finish(suite_rule_safety(trials=1000, seed=0), started, 600, 14000)
 
 
 def test_criterion_3_setcover_gadget():
@@ -78,7 +78,7 @@ def test_criterion_7_ramsey_guarantee():
     at or above the guarantee threshold yields a validating clique or
     independent-set witness."""
     started = time.time()
-    _finish(suite_ramsey_guarantee(seed=0, samples_per_size=3), started, 300, 200)
+    _finish(suite_ramsey_guarantee(trials=60, seed=0), started, 300, 200)
 
 
 def test_criterion_8_vclp_exactness():

@@ -300,8 +300,11 @@ class TestSolve:
 
 
 def failing_suite(trials=None, seed=0):
-    bad = InstanceFile(kind="graph", graph=Graph(2, [(0, 1)]), k=0)
-    return verify_mod.SuiteResult("stub", False, 3, ("synthetic failure",), (bad,))
+    result = verify_mod.SuiteResult("stub")
+    result.ok()
+    result.ok()
+    result.fail("synthetic failure", InstanceFile(kind="graph", graph=Graph(2, [(0, 1)]), k=0))
+    return result
 
 
 class TestVerifyCommand:
@@ -396,6 +399,13 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "is-grid", "--t", "2",
                            "--q", "2", "--pattern", "01")
         assert code == 2 and "--pattern" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--q", "0"), ("--q", "-1"), ("--t", "1"), ("--t", "0", "--q", "-1"),
+    ], ids=["q-zero", "q-negative", "t-one", "t-zero-q-negative"])
+    def test_is_grid_small_t_or_q_is_a_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "generate", "is-grid", *flags)
+        assert (code, out, err) == (2, "", "error: need q >= 2, t >= 2, k >= 1\n")
 
     def test_wrap_as_problem_kind(self, capsys):
         code, out, _ = run(capsys, "generate", "split", "--n", "6",
@@ -630,6 +640,16 @@ class TestEntryPoints:
         assert err == "internal error: RuntimeError: broken invariant\n"
         assert "Traceback" not in err
 
+    def test_other_os_errors_stay_internal(self, capsys, tmp_path, monkeypatch):
+        # only a failed write to stdout is a usage error
+        def boom(args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("closurekernels.cli.cmd_params", boom)
+        code, out, err = run(capsys, "params", write(tmp_path, "a.ck", C4_GRAPH))
+        assert (code, out) == (4, "")
+        assert err == "internal error: OSError: [Errno 28] No space left on device\n"
+
     def test_witness_failing_recheck_is_internal(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(oracles_mod, "solve_exact",
                             lambda *a, **kw: OracleResult(True, frozenset()))
@@ -726,6 +746,21 @@ class TestProcessExit:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["params", "{src}"],
+        ["generate", "split", "--n", "400", "--seed", "1"],
+    ], ids=["small", "large"])
+    def test_full_stdout_is_a_usage_error(self, tmp_path, argv, unbuffered):
+        argv = [a.format(src=write(tmp_path, "a.ck", C4_GRAPH)) for a in argv]
+        with open("/dev/full", "w") as full:  # every write fails with ENOSPC
+            proc = subprocess.run([sys.executable, "-m", "closurekernels", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=module_env(unbuffered))
+        assert (proc.returncode, proc.stderr) == \
+            (2, "error: cannot write stdout: No space left on device\n")
 
     def test_dev_mode_warnings_leave_stderr_empty(self, tmp_path):
         src = write(tmp_path, "a.ck", C4_GRAPH)

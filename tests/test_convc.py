@@ -183,10 +183,11 @@ def test_simplicial_red_exhausts_budget():
 
 
 def test_simplicial_preconditions():
-    with pytest.raises(ValueError):
-        simplicial_rule(AnnotatedConVcInstance(path_graph(2), frozenset(), 1))
-    with pytest.raises(ValueError):
-        simplicial_rule(AnnotatedConVcInstance(Graph(4, [(0, 1), (2, 3)]), frozenset(), 1))
+    # fewer than 3 vertices, or more than one component: the rule does not
+    # fire, though every graph here has a simplicial vertex
+    for g in (path_graph(2), Graph(4, [(0, 1), (2, 3)])):
+        inst = AnnotatedConVcInstance(g, frozenset(), 1)
+        assert simplicial_rule(inst) == (inst, None)
 
 
 def test_attach_leaves():

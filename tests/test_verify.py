@@ -1,6 +1,7 @@
 """The cross-checking suites themselves: green on the real rules, red when a
 deliberately unsound rule is injected."""
 
+import inspect
 import subprocess
 import time
 
@@ -12,7 +13,6 @@ from closurekernels.graph import delete_vertices
 from closurekernels.instance_io import IsInstance, parse_instance, to_problem, write_instance
 from closurekernels.oracles import OracleResult, solve_is_exact
 from closurekernels.verify import (
-    RULE_CASES,
     SUITES,
     SuiteResult,
     run_suite,
@@ -31,17 +31,17 @@ from closurekernels.verify import (
 def test_parameter_engines_passes():
     r = suite_parameter_engines(trials=300, seed=11)
     assert r.passed and r.checked == 300
-    assert r.failures == () and r.artifacts == ()
+    assert r.failures == [] and r.artifacts == []
 
 
 def test_rule_safety_passes_and_covers_every_rule():
-    r = suite_rule_safety(trials_per_rule=60, seed=11)
+    r = suite_rule_safety(trials=60, seed=11)
     assert r.passed
-    assert r.checked == 60 * len(RULE_CASES)
+    assert r.checked == 60 * len(verify_mod._rule_cases())
 
 
 def test_rule_case_names_are_unique():
-    names = [case.name for case in RULE_CASES]
+    names = [name for name, *_ in verify_mod._rule_cases()]
     assert len(names) == len(set(names))
     assert len(names) == 14
 
@@ -83,7 +83,7 @@ def test_biclique_certificate_passes():
 
 
 def test_ramsey_guarantee_passes():
-    r = suite_ramsey_guarantee(seed=11, samples_per_size=1)
+    r = suite_ramsey_guarantee(trials=20, seed=11)
     assert r.passed and r.checked >= 50
 
 
@@ -143,7 +143,7 @@ def test_determinism_failing_child_kills_its_sibling(tmp_path, monkeypatch):
     assert not leftover
     assert len(started) == 2 and time.monotonic() - t0 < 20
     assert not r.passed
-    assert r.failures == ("kernel command exited with code 3: RuntimeError: boom",)
+    assert r.failures == ["kernel command exited with code 3: RuntimeError: boom"]
 
 
 def _unsound_rule(inst):
@@ -156,7 +156,7 @@ def _unsound_rule(inst):
 
 
 def test_negative_control_catches_unsound_rule():
-    r = suite_rule_safety(trials_per_rule=60, seed=11,
+    r = suite_rule_safety(trials=60, seed=11,
                           rule_overrides={"convc-twinset": _unsound_rule})
     assert not r.passed
     assert r.failures and r.artifacts
@@ -166,11 +166,11 @@ def test_negative_control_catches_unsound_rule():
 
 def test_rule_override_unknown_name_rejected():
     with pytest.raises(ValueError):
-        suite_rule_safety(trials_per_rule=1, rule_overrides={"nope": _unsound_rule})
+        suite_rule_safety(trials=1, rule_overrides={"nope": _unsound_rule})
 
 
 def test_failure_collection_is_capped():
-    r = suite_rule_safety(trials_per_rule=500, seed=11,
+    r = suite_rule_safety(trials=500, seed=11,
                           rule_overrides={"convc-twinset": _unsound_rule})
     assert len(r.failures) <= 5
 
@@ -186,10 +186,31 @@ def test_run_all_covers_registry():
     results = [run_suite(name, trials=5, seed=11) for name in SUITES]
     assert [r.name for r in results] == list(SUITES)
     assert all(r.passed for r in results)
+    # the check counts pin every suite's draws: a sampler that draws in a
+    # different order changes which instances are checked, and these counts
+    assert [r.checked for r in results] == [5, 70, 5, 16, 4, 5, 328, 14, 7]
+
+
+def test_every_suite_takes_trials_and_seed():
+    for name, fn in SUITES.items():
+        assert list(inspect.signature(fn).parameters)[:2] == ["trials", "seed"], name
+    assert suite_composition_patterns(trials=3, seed=9).checked == 16
 
 
 def test_summary_formatting():
-    ok = SuiteResult("demo", True, 12)
-    bad = SuiteResult("demo", False, 12, ("boom",))
-    assert ok.summary() == "demo: ok (12 checks)"
-    assert bad.summary() == "demo: FAIL (12 checks, 1 failures)"
+    r = SuiteResult("demo")
+    for _ in range(11):
+        r.ok()
+    assert (r.passed, r.summary()) == (True, "demo: ok (11 checks)")
+    r.fail("boom")
+    assert (r.passed, r.failures, r.artifacts) == (False, ["boom"], [])
+    assert r.summary() == "demo: FAIL (12 checks, 1 failures)"
+
+
+def test_failures_past_the_cap_are_counted_not_kept():
+    r = SuiteResult("demo")
+    for i in range(7):
+        assert r.saturated == (i >= 5)
+        r.fail(f"boom {i}", artifact=i)
+    assert r.saturated and r.checked == 7
+    assert r.failures == [f"boom {i}" for i in range(5)] and r.artifacts == list(range(5))
