@@ -54,7 +54,7 @@ def cmd_solve(args) -> int:
         res = oracles.solve_exact(problem, max_n=args.oracle_cap)
     except oracles.OracleCapExceeded as exc:
         raise UsageError(f"instance above the oracle size cap ({exc}); "
-                         f"raise --oracle-cap to force the run") from exc
+                         "raise --oracle-cap to force the run") from exc
 
     # the witness file is written before anything is printed, so a failed
     # write leaves stdout empty
@@ -148,6 +148,8 @@ def cmd_generate(args) -> int:
     elif family == "is-grid":
         if args.t < 2 or args.q < 2:  # before t ** q, which fails or is a float at q < 0
             raise UsageError("need q >= 2, t >= 2, k >= 1")
+        if args.q > 16 or args.t ** args.q > 2 ** 16:  # t >= 2, so q > 16 is over too
+            raise UsageError(f"--t {args.t} --q {args.q} makes more than 2^16 grid points")
         size = args.t ** args.q
         pattern = args.pattern if args.pattern is not None else "0" * size
         if len(pattern) != size or set(pattern) - {"0", "1"}:

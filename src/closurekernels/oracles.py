@@ -5,23 +5,26 @@ are written directly from the problem definitions and kept independent of
 the kernelization code. Every yes answer carries a witness that is
 re-validated before being returned, and `is_solution` is the one
 feasibility predicate per problem. Deterministic: candidate enumeration in
-lexicographic order by increasing size. Two searches serve most oracles:
+lexicographic order by increasing size. Two searches serve most oracles.
 `_smallest_set` tries vertex sets smallest first (connected vertex cover,
-dominating set, component order connectivity), and `_compatible_set` picks
-pairwise compatible items depth first (independent set over vertices,
-induced matching over edges). The capacitated vertex cover oracle branches
-on `int` masks of its chosen vertices and of each edge's endpoints. No
-`solve_*` oracle recurses, so deep inputs end in an answer, not a
-`RecursionError`. The one size cap counts vertices.
+dominating set, component order connectivity). `graph.first_clique` finds
+the first k pairwise-compatible items over bitmasks: independent set over
+vertices, induced matching over edges, multicolored independent set over
+the vertices in part order, and exact set cover over the family. The
+capacitated vertex cover oracle branches on `int` masks of its chosen
+vertices and of each edge's endpoints. No `solve_*` oracle recurses, so
+deep inputs end in an answer, not a `RecursionError`. The one size cap
+counts vertices.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
     Graph,
     Record,
+    first_clique,
     is_clique,
     is_connected_set,
     is_independent_set,
@@ -38,9 +41,7 @@ class OracleCapExceeded(ValueError):
 def _check_cap(g: Graph, max_n: int | None) -> None:
     cap_n = DEFAULT_VERTEX_CAP if max_n is None else max_n
     if g.n > cap_n:
-        raise OracleCapExceeded(
-            f"{g.n} vertices exceeds the oracle cap of {cap_n} (raise --oracle-cap to override)"
-        )
+        raise OracleCapExceeded(f"{g.n} vertices exceeds the oracle cap of {cap_n}")
 
 
 class OracleResult(Record):
@@ -56,7 +57,7 @@ class OracleResult(Record):
 
 
 # ---------------------------------------------------------------------------
-# the two shared searches
+# the subset search
 
 def _smallest_set(g: Graph, k: int, max_n: int | None, verts: Sequence[int],
                   accept: Callable[[frozenset[int]], bool]) -> OracleResult:
@@ -74,44 +75,6 @@ def _smallest_set(g: Graph, k: int, max_n: int | None, verts: Sequence[int],
             if accept(ss):
                 return OracleResult(True, ss, {"subsets": count})
     return OracleResult(False, stats={"subsets": count})
-
-
-def _compatible_set(items: Sequence, k: int,
-                    compatible: Callable[[object, object], bool]) -> tuple[frozenset | None, int]:
-    """k pairwise compatible items, or None, and the number of search nodes.
-
-    Depth-first search that extends the chosen items by a later item
-    compatible with all of them, earliest first. A node is cut on entry when
-    even the items left after it cannot bring the choice up to k. The stack
-    holds, for each open node, the next index it will try.
-    """
-    n = len(items)
-    chosen: list = []
-    stack: list[int] = []
-    nodes = 0
-    start = 0
-    while True:
-        nodes += 1  # enter the node that chooses from items[start:]
-        if len(chosen) >= k:
-            return frozenset(chosen), nodes
-        if len(chosen) + n - start >= k:
-            stack.append(start)
-        elif chosen:
-            chosen.pop()
-        # resume the deepest open node at its next compatible item
-        while stack:
-            i = stack[-1]
-            while i < n and not all(compatible(items[i], c) for c in chosen):
-                i += 1
-            if i < n:
-                stack[-1] = start = i + 1
-                chosen.append(items[i])
-                break
-            stack.pop()
-            if chosen:
-                chosen.pop()
-        else:
-            return None, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +216,11 @@ def solve_is_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:
     if k <= 0:
         return OracleResult(True, frozenset(), {"nodes": 0})
     _check_cap(g, max_n)
-    best, nodes = _compatible_set(g.vertices(), k, lambda v, u: not g.has_edge(v, u))
-    if best is not None:
-        assert is_independent_set(g, best)
-        return OracleResult(True, best, {"nodes": nodes})
-    return OracleResult(False, stats={"nodes": nodes})
+    full = (1 << g.n) - 1
+    got, nodes = first_clique([full ^ mask for mask in g.adjacency_masks()], k)
+    best = None if got is None else frozenset(got)
+    assert best is None or is_independent_set(g, best)
+    return OracleResult(best is not None, best, {"nodes": nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +244,21 @@ def solve_im_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:
     if k <= 0:
         return OracleResult(True, frozenset(), {"nodes": 0})
     _check_cap(g, max_n)
-
-    def compatible(e: tuple[int, int], f: tuple[int, int]) -> bool:
-        a, b = e
-        c, d = f
-        return len({a, b, c, d}) == 4 and not (g.has_edge(a, c) or g.has_edge(a, d)
-                                               or g.has_edge(b, c) or g.has_edge(b, d))
-
-    got, nodes = _compatible_set(g.edges(), k, compatible)
-    if got is not None:
-        assert is_induced_matching(g, got)
-        return OracleResult(True, got, {"nodes": nodes})
-    return OracleResult(False, stats={"nodes": nodes})
+    edges = g.edges()
+    at = [0] * g.n  # per vertex, the mask of the edges at it
+    for i, (u, v) in enumerate(edges):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
+    near = list(at)  # per vertex, the edges at it or at a neighbour
+    for u, v in edges:
+        near[u] |= at[v]
+        near[v] |= at[u]
+    # two edges are compatible when neither has an end at or next to the other's
+    full = (1 << len(edges)) - 1
+    got, nodes = first_clique([full ^ (near[u] | near[v]) for u, v in edges], k)
+    matching = None if got is None else frozenset(edges[i] for i in got)
+    assert matching is None or is_induced_matching(g, matching)
+    return OracleResult(matching is not None, matching, {"nodes": nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +318,20 @@ def solve_multicolored_is_exact(g: Graph, parts: list[tuple[int, ...]],
     parts must partition V(G) and each part must induce a clique.
     """
     _check_cap(g, max_n)
-    flat = sorted(v for p in parts for v in p)
-    if flat != list(g.vertices()):
+    if sorted(v for p in parts for v in p) != list(g.vertices()):
         raise ValueError("parts must partition the vertex set")
-    for p in parts:
-        if not is_clique(g, p):
-            raise ValueError("every part must induce a clique")
-    count = 0
-    for pick in product(*[sorted(p) for p in parts]):
-        count += 1
-        if is_independent_set(g, pick):
-            return OracleResult(True, tuple(pick), {"combinations": count})
-    return OracleResult(False, stats={"combinations": count})
+    if not all(is_clique(g, p) for p in parts):
+        raise ValueError("every part must induce a clique")
+    # vertices part by part; same-part vertices are adjacent, so a set of
+    # pairwise nonadjacent vertices meets each part at most once
+    order = [v for p in parts for v in sorted(p)]
+    pos = {v: 1 << i for i, v in enumerate(order)}
+    full = (1 << g.n) - 1
+    got, nodes = first_clique([full ^ sum(pos[w] for w in g.neighbors(v)) for v in order],
+                              len(parts))
+    pick = None if got is None else tuple(order[i] for i in got)
+    assert pick is None or is_independent_set(g, pick)
+    return OracleResult(pick is not None, pick, {"nodes": nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +343,18 @@ def solve_exact_set_cover(universe_size: int, family: list[frozenset[int]],
 
     Every family set must have exactly lam elements inside the universe.
     """
-    if universe_size != lam * k:
-        raise ValueError("universe size must be lam * k")
+    if k < 0 or universe_size != lam * k:
+        raise ValueError("universe size must be lam * k for a k >= 0")
     for s in family:
         if len(s) != lam:
             raise ValueError("every set must have exactly lam elements")
         if any(x < 0 or x >= universe_size for x in s):
             raise ValueError("set element outside the universe")
-    count = 0
-    for pick in combinations(range(len(family)), k):
-        count += 1
-        union: set[int] = set()
-        ok = True
-        for i in pick:
-            if family[i] & union:
-                ok = False
-                break
-            union |= family[i]
-        if ok and len(union) == universe_size:
-            return OracleResult(True, tuple(pick), {"combinations": count})
-    return OracleResult(False, stats={"combinations": count})
+    # k pairwise disjoint sets of lam elements cover all lam * k
+    got, nodes = first_clique([sum(1 << j for j, t in enumerate(family) if s.isdisjoint(t))
+                               for s in family], k)
+    assert got is None or len(frozenset().union(*(family[i] for i in got))) == universe_size
+    return OracleResult(got is not None, got, {"nodes": nodes})
 
 
 # ---------------------------------------------------------------------------

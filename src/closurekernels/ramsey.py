@@ -6,8 +6,8 @@ walks the closure ordering in blocks from the back, growing an independent
 set; inside a block it either extends the set with a non-neighbor, finds
 enough common neighbors of a small subset to report a clique, or swaps a
 subset for a fresh independent chunk found recursively. Small graphs fall
-back to exact subset search: a depth-first search over adjacency masks
-that returns the first subset in lexicographic order.
+back to exact subset search: `graph.first_clique`, the bitmask clique search
+the oracles share, returns the first subset in lexicographic order.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .closure import weak_closure_ordering
-from .graph import Graph, Record, induced_subgraph, is_clique, is_independent_set
+from .graph import Graph, Record, first_clique, induced_subgraph, is_clique, is_independent_set
 
 # subset-search budget: combinations(n, size) above this are not enumerated
 _BRUTE_CAP = 250_000
@@ -86,41 +86,17 @@ def r_gamma_bound(a: int, b: int, gamma: int) -> int:
 
 
 def _brute_subset(g: Graph, size: int, clique: bool) -> tuple[int, ...] | None:
-    """The first `size`-subset of the vertices, in the order of
-    `combinations(range(n), size)`, that is a clique (or, with clique
-    False, an independent set); None when there is none or when there are
-    more than `_BRUTE_CAP` subsets.
-
-    Depth-first search in lexicographic order that keeps, per depth, the
-    mask of later vertices compatible with every chosen one, so a branch
-    ends at its first bad pair, or as soon as too few vertices are left.
-    Both properties pass to subsets, so no cut branch holds an answer.
-    """
+    """The first `size`-subset of the vertices in `combinations` order that
+    is a clique (or, with clique False, an independent set), found by
+    `graph.first_clique`; None when there is none or when there are more
+    than `_BRUTE_CAP` subsets."""
     n = g.n
     if size > n or comb(n, size) > _BRUTE_CAP:
         return None
-    full = (1 << n) - 1
-    compatible = g.adjacency_masks()
+    masks = g.adjacency_masks()
     if not clique:
-        compatible = [full ^ mask for mask in compatible]  # v's own bit is never tried again
-    chosen: list[int] = []
-    untried = [full]  # per depth, the vertices still to try there
-    while True:
-        depth = len(chosen)
-        if depth == size:
-            return tuple(chosen)
-        left = untried[depth]
-        if left.bit_count() < size - depth:
-            if not chosen:
-                return None
-            untried.pop()
-            chosen.pop()
-            continue
-        v = (left & -left).bit_length() - 1
-        left ^= 1 << v
-        untried[depth] = left
-        chosen.append(v)
-        untried.append(left & compatible[v])
+        masks = [((1 << n) - 1) ^ mask for mask in masks]
+    return first_clique(masks, size)[0]
 
 
 def _blocks(order: tuple[int, ...], b: int) -> list[list[int]]:

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -291,7 +292,9 @@ class TestSolve:
     def test_oracle_cap_message_names_flag(self, capsys, tmp_path):
         src = write(tmp_path, "a.ck", C4_CONVC)
         code, _, err = run(capsys, "solve", "convc", src, "--oracle-cap", "3")
-        assert code == 2 and "--oracle-cap" in err
+        assert (code, err) == (2, "error: instance above the oracle size cap (4 vertices "
+                               "exceeds the oracle cap of 3); raise --oracle-cap to force "
+                               "the run\n")
 
     def test_kind_mismatch(self, capsys, tmp_path):
         src = write(tmp_path, "a.ck", C4_GRAPH)
@@ -406,6 +409,19 @@ class TestGenerate:
     def test_is_grid_small_t_or_q_is_a_usage_error(self, capsys, flags):
         code, out, err = run(capsys, "generate", "is-grid", *flags)
         assert (code, out, err) == (2, "", "error: need q >= 2, t >= 2, k >= 1\n")
+
+    @pytest.mark.parametrize("t, q", [("3", "30"), ("2", "1000000000"), ("1000000", "2"),
+                                      ("2", "17"), ("257", "2")])
+    def test_is_grid_above_2_to_the_16_points_is_refused(self, capsys, t, q):
+        # refused before t ** q or the pattern is built, so nothing large is allocated
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "generate", "is-grid", "--t", t, "--q", q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "") and peak < 2 ** 20
+        assert err == f"error: --t {t} --q {q} makes more than 2^16 grid points\n"
 
     def test_wrap_as_problem_kind(self, capsys):
         code, out, _ = run(capsys, "generate", "split", "--n", "6",

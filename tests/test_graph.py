@@ -16,6 +16,7 @@ from closurekernels.graph import (
     cycle_graph,
     delete_vertices,
     empty_graph,
+    first_clique,
     induced_subgraph,
     is_clique,
     is_connected_set,
@@ -205,6 +206,84 @@ def test_maximal_cliques_on_a_deep_clique():
         assert maximal_cliques(g) == [tuple(range(150))]
     finally:
         sys.setrecursionlimit(old)
+
+
+# --- the shared clique search ------------------------------------------------
+
+def compatible_set(items, k, compatible):
+    """The list-based search the independent set and induced matching oracles
+    used before `first_clique`, kept as the reference for its node count."""
+    n = len(items)
+    chosen = []
+    stack = []
+    nodes = 0
+    start = 0
+    while True:
+        nodes += 1  # enter the node that chooses from items[start:]
+        if len(chosen) >= k:
+            return frozenset(chosen), nodes
+        if len(chosen) + n - start >= k:
+            stack.append(start)
+        elif chosen:
+            chosen.pop()
+        # resume the deepest open node at its next compatible item
+        while stack:
+            i = stack[-1]
+            while i < n and not all(compatible(items[i], c) for c in chosen):
+                i += 1
+            if i < n:
+                stack[-1] = start = i + 1
+                chosen.append(items[i])
+                break
+            stack.pop()
+            if chosen:
+                chosen.pop()
+        else:
+            return None, nodes
+
+
+def seeded_masks(seed, count):
+    """Symmetric compatibility masks on 0 to 12 items, each item's own bit
+    set or unset at random, with k from -1 to n + 2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        p = rng.choice((0.2, 0.5, 0.8, 1.0))
+        masks = [0] * n
+        for i, j in combinations(range(n), 2):
+            if rng.random() < p:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        for i in range(n):
+            if rng.random() < 0.5:
+                masks[i] |= 1 << i
+        yield masks, rng.randint(-1, n + 2)
+
+
+class TestFirstClique:
+    def test_matches_the_combinations_scan(self):
+        found = set()
+        for masks, k in seeded_masks(501, 3000):
+            want = next((s for s in combinations(range(len(masks)), max(k, 0))
+                         if all(masks[i] >> j & 1 for i, j in combinations(s, 2))), None)
+            got, _ = first_clique(masks, k)
+            assert got == want, (masks, k)
+            found.add((got is None, k == 0, k > len(masks), k >= 3 and got is not None))
+        # no answer, k = 0, k > n and answers three or more deep all occur
+        assert {(True, False, False, False), (False, True, False, False),
+                (True, False, True, False), (False, False, False, True)} <= found
+
+    def test_counts_the_nodes_of_the_list_search(self):
+        for masks, k in seeded_masks(502, 3000):
+            want, nodes = compatible_set(range(len(masks)), k,
+                                         lambda i, j: masks[i] >> j & 1)
+            got = first_clique(masks, k)
+            assert got == (None if want is None else tuple(sorted(want)), nodes), (masks, k)
+
+    def test_a_whole_item_set(self):
+        full = (1 << 2500) - 1
+        assert first_clique([full] * 2500, 2500) == (tuple(range(2500)), 2501)
+        assert first_clique([0] * 2500, 2) == (None, 2501)
 
 
 def test_biclique_search():

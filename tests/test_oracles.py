@@ -274,9 +274,12 @@ def test_witnesses_validate():
 
 
 # --- the shared searches against the oracles they replaced -------------------
-# Written as the oracles were before `_smallest_set` and `_compatible_set`:
-# one loop or one recursion per problem. Each rewritten oracle must return
-# the same answer, witness and work counters.
+# Written as the oracles were before `_smallest_set` and the clique search
+# (`_compatible_set`, now `graph.first_clique`): one loop or one recursion
+# per problem. Each rewritten oracle must return the same answer, witness
+# and work counters; multicolored independent set and exact set cover
+# renamed their counter from `combinations` to `nodes` and now count search
+# nodes, so for them only answer and witness are compared.
 
 def ref_capvc(g, cap, k):
     if k < 0:
@@ -454,6 +457,27 @@ def ref_im(g, k):
     return OracleResult(False, stats={"nodes": nodes})
 
 
+def ref_multicolored_is(g, parts):
+    for pick in product(*[sorted(p) for p in parts]):
+        if all(not g.has_edge(u, v) for u, v in combinations(pick, 2)):
+            return OracleResult(True, tuple(pick))
+    return OracleResult(False)
+
+
+def ref_set_cover(universe_size, family, k):
+    for pick in combinations(range(len(family)), k):
+        union = set()
+        ok = True
+        for i in pick:
+            if family[i] & union:
+                ok = False
+                break
+            union |= family[i]
+        if ok and len(union) == universe_size:
+            return OracleResult(True, tuple(pick))
+    return OracleResult(False)
+
+
 def seeded_instances(seed, count, max_n):
     # k runs from -1 to n + 1, so k < 0, k = 0 and k > n all occur
     rng = random.Random(seed)
@@ -476,6 +500,48 @@ def test_im_matches_the_recursive_search():
     for _, g, k in seeded_instances(402, 3000, 10):
         k = min(k, 6)  # an induced matching on 10 vertices has at most 5 edges
         assert same_result(solve_im_exact(g, k), ref_im(g, k)), (g.edges(), k)
+
+
+def test_multicolored_is_matches_the_product_loop():
+    # clique parts in shuffled order, each part's vertices unsorted, now and
+    # then an empty part; cross edges at several densities
+    rng = random.Random(409)
+    answers = set()
+    for _ in range(3000):
+        n = rng.randint(0, 10)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+        parts = [tuple(verts[a:b]) for a, b in zip([0] + cuts, cuts + [n])] if n else []
+        if rng.random() < 0.05:
+            parts.insert(rng.randint(0, len(parts)), ())
+        p = rng.choice((0.1, 0.3, 0.6))
+        edges = {e for part in parts for e in combinations(sorted(part), 2)}
+        edges |= {e for e in combinations(range(n), 2) if rng.random() < p}
+        g = Graph(n, edges)
+        got = solve_multicolored_is_exact(g, parts)
+        want = ref_multicolored_is(g, parts)
+        assert (got.answer, got.witness) == (want.answer, want.witness), (g.edges(), parts)
+        assert set(got.stats) == {"nodes"}
+        answers.add((got.answer, len(parts) >= 3))
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_set_cover_matches_the_combinations_loop():
+    # families with repeated sets, lam from 0 to 3 and k from 0 to 3
+    rng = random.Random(410)
+    answers = set()
+    for _ in range(3000):
+        lam, k = rng.randint(0, 3), rng.randint(0, 3)
+        universe = lam * k
+        pool = [frozenset(s) for s in combinations(range(universe), lam)]
+        family = [rng.choice(pool) for _ in range(rng.randint(0, 9))] if pool else []
+        got = solve_exact_set_cover(universe, family, lam, k)
+        want = ref_set_cover(universe, family, k)
+        assert (got.answer, got.witness) == (want.answer, want.witness), (family, lam, k)
+        assert set(got.stats) == {"nodes"}
+        answers.add((got.answer, k >= 2))
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_convc_matches_its_own_subset_loop():
