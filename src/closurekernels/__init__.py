@@ -4,13 +4,14 @@ Library layout:
 
 - graph: immutable dense-id graphs, set predicates, false-twin classes
 - closure: closure number, weak closure orderings, neighborhood classes
-- combinatorics: matchings, the vertex cover LP, sunflowers
+- combinatorics: one maximum matching, the vertex cover LP on it, sunflowers
 - reduction: `Instance` (`vertex_fields`, `fields()`, `without`), the rule
   driver every kernel runs (`exhaust`) and `Decided`
 - capvc / convc / induced_matching / domset: reduction rules, kernels, size
   bound reports and canonical decided instances
 - ramsey: clique-or-independent-set thresholds and search
-- oracles: brute-force exact solvers and `is_solution`, the one witness check
+- oracles: brute-force exact solvers; `solve_exact` dispatches and checks
+  each witness once with `is_solution`
 - generators: hard-instance constructions and random families
 - instance_io / cli / commands: the line-oriented instance format and the
   command line (`cli` runs params and kernel, `commands` solve, verify and

@@ -68,12 +68,3 @@ def size_bound_report(inst: CapVcInstance) -> dict:
     classes of at most k + 2 members."""
     return cover_class_report(inst.graph, inst.k, inst.k + 2)
 
-
-def replay_capvc_trace(inst: CapVcInstance, trace: list[dict]) -> CapVcInstance:
-    """Re-apply a recorded trace; used to check traces are self-contained."""
-    for entry in trace:
-        cap = list(inst.cap)
-        for v in entry["decremented"]:
-            cap[v] -= 1
-        inst = inst.without([entry["removed"]], cap=tuple(cap))
-    return inst

@@ -1,6 +1,12 @@
-"""Exact combinatorial subroutines: matchings, the vertex cover LP, sunflowers.
+"""Exact combinatorial subroutines: maximum matching, the vertex cover LP,
+sunflowers.
 
-All deterministic: iteration in vertex/index order, ties to the smallest id.
+One matching routine, `maximum_matching` (blossom augmentation), serves both
+the im posterior rule and the LP: the LP takes König's cover of the
+bipartite double cover from that matching, and the cover it reads is the
+same for every maximum matching, so the routine's choice of matching never
+shows in the LP solution. All deterministic: iteration in vertex/index
+order, ties to the smallest id.
 """
 from __future__ import annotations
 
@@ -13,9 +19,10 @@ from .graph import Graph, Record
 def maximum_matching(g: Graph) -> frozenset[tuple[int, int]]:
     """Maximum matching in a general graph, blossom-style augmentation.
 
-    Classic O(n^3) contraction scheme: BFS an alternating forest from each
-    free vertex; on an odd cycle, contract to the base found via the matched
-    ancestor walk. Returns edges as (u, v) with u < v.
+    Classic O(n^3) contraction scheme: after a greedy start, BFS an
+    alternating forest from each free vertex; on an odd cycle, contract to
+    the base found via the matched ancestor walk. Returns edges as (u, v)
+    with u < v.
     """
     n = g.n
     match = [-1] * n
@@ -83,40 +90,19 @@ def maximum_matching(g: Graph) -> frozenset[tuple[int, int]]:
                     queue.append(match[to])
         return False
 
+    # a greedy matching first, so most vertices never start a search; a
+    # search from a free vertex that finds no augmenting path would find
+    # none later either, so one pass over the free vertices is enough
     for v in range(n):
         if match[v] == -1:
+            for w in g.neighbors(v):
+                if match[w] == -1:
+                    match[v], match[w] = w, v
+                    break
+    for v in range(n):
+        if match[v] == -1 and g.neighbors(v):
             find_augmenting(v)
     return frozenset((v, match[v]) for v in range(n) if match[v] > v)
-
-
-def is_matching(g: Graph, edges: frozenset[tuple[int, int]]) -> bool:
-    seen: set[int] = set()
-    for u, v in edges:
-        if not g.has_edge(u, v) or u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return True
-
-
-def _bipartite_max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]:
-    # Kuhn's augmenting-path matching; adj[l] lists right-neighbors ascending.
-    # Returns match_right where match_right[r] = matched left vertex or -1.
-    match_right = [-1] * n_right
-    for root in range(n_left):
-        seen = [False] * n_right
-        stack = [[root, iter(adj[root]), -1]]  # [left vertex, unscanned neighbors, right vertex tried]
-        while stack:
-            stack[-1][2] = r = next((r for r in stack[-1][1] if not seen[r]), -1)
-            if r == -1:
-                stack.pop()
-            elif match_right[r] == -1:
-                for l, _, r in stack:  # augment along the stack
-                    match_right[r] = l
-                break
-            else:
-                seen[r] = True
-                stack.append([match_right[r], iter(adj[match_right[r]]), -1])
-    return match_right
 
 
 class VcLpSolution(Record):
@@ -141,42 +127,37 @@ class VcLpSolution(Record):
 def vclp_half_integral(g: Graph) -> VcLpSolution:
     """Exact optimum of the vertex cover LP via the bipartite double cover.
 
-    Each vertex v becomes a left copy and a right copy; each edge uv becomes
-    L_u R_v and L_v R_u. A minimum vertex cover of the double cover (Konig
-    from a maximum matching) halves to an optimal half-integral solution.
+    Each vertex v becomes a left copy v and a right copy n + v; each edge uv
+    becomes (u, n + v) and (v, n + u). A minimum vertex cover of the double
+    cover halves to an optimal half-integral solution. The cover is König's,
+    read off `maximum_matching` of the double cover: the unreached left
+    copies and the reached right copies, where "reached" means by an
+    alternating path from an unmatched left copy. Those reached sets are the
+    same for every maximum matching (Dulmage-Mendelsohn), so the solution
+    does not depend on which one the matching routine returns.
     Combinatorial and deterministic; no numeric LP involved.
     """
     n = g.n
-    adj = [[w for w in g.neighbors(v)] for v in range(n)]
-    match_right = _bipartite_max_matching(n, n, adj)
-    match_left = [-1] * n
-    for r, l in enumerate(match_right):
-        if l != -1:
-            match_left[l] = r
-
-    # Konig: alternate from unmatched left vertices; cover is
-    # (unreached left) union (reached right)
-    reached_left = [False] * n
+    nbrs = [g.neighbors(v) for v in range(n)]
+    double = Graph._from_neighbors([tuple([n + w for w in ws]) for ws in nbrs] + nbrs)
+    match_right = [-1] * n
+    reached_left = [True] * n  # the unmatched left copies start the search
+    for l, r in maximum_matching(double):  # l < n <= r
+        match_right[r - n] = l
+        reached_left[l] = False
     reached_right = [False] * n
-    queue = deque(l for l in range(n) if match_left[l] == -1)
-    for l in queue:
-        reached_left[l] = True
+    queue = deque(l for l in range(n) if reached_left[l])
     while queue:
         l = queue.popleft()
-        for r in adj[l]:
+        for r in nbrs[l]:
             if not reached_right[r]:
                 reached_right[r] = True
                 l2 = match_right[r]
                 if l2 != -1 and not reached_left[l2]:
                     reached_left[l2] = True
                     queue.append(l2)
-
-    value2 = [0] * n
-    for v in range(n):
-        in_cover_left = not reached_left[v]
-        in_cover_right = reached_right[v]
-        value2[v] = int(in_cover_left) + int(in_cover_right)
-    return VcLpSolution(tuple(value2))
+    # v's left copy is in the cover when unreached, its right copy when reached
+    return VcLpSolution(tuple([(not a) + b for a, b in zip(reached_left, reached_right)]))
 
 
 def vclp_is_feasible(g: Graph, value2: tuple[int, ...]) -> bool:

@@ -1,5 +1,6 @@
 """Dominating set on split graphs: structured orderings and three
-reductions, plus the biclique-freeness check used for the bipartite route.
+reductions, plus the biclique-freeness report that the biclique-certificate
+verify suite checks (there is no bipartite ds kernel).
 
 The split kernel works against the degree-sequence clique/independent
 bipartition of the current graph, computed once per graph:

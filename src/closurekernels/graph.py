@@ -190,10 +190,6 @@ def last_graph_memo(fn: Callable[[Graph], T]) -> Callable[[Graph], T]:
     return memo
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 

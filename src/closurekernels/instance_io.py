@@ -100,9 +100,9 @@ def _column(line: str, i: int) -> int:
 
 def parse_instance(text: str) -> InstanceFile:
     header = None
-    caps: dict[int, tuple[int, int]] = {}
-    reds: dict[int, int] = {}
-    parts: dict[int, tuple[int, int]] = {}
+    caps: dict[int, int] = {}
+    reds: set[int] = set()
+    parts: dict[int, int] = {}
     tails: list[int] = []
     heads: list[int] = []
     mentioned: set[int] = set()
@@ -172,7 +172,7 @@ def parse_instance(text: str) -> InstanceFile:
             x = intval(toks, 2, line_no, "capacity")
             if v in caps:
                 bail(line_no, 1, f"duplicate capacity for {v}")
-            caps[v] = (x, line_no)
+            caps[v] = x
             mentioned.add(v)
         elif tag == "red":
             if kind != "convc":
@@ -180,7 +180,7 @@ def parse_instance(text: str) -> InstanceFile:
             if len(toks) != 2:
                 bail(line_no, 0, "red needs: red v")
             v = intval(toks, 1, line_no, "vertex")
-            reds[v] = line_no
+            reds.add(v)
             mentioned.add(v)
         elif tag == "part":
             if kind != "is":
@@ -191,7 +191,7 @@ def parse_instance(text: str) -> InstanceFile:
             i = intval(toks, 2, line_no, "part index")
             if v in parts:
                 bail(line_no, 1, f"duplicate part for {v}")
-            parts[v] = (i, line_no)
+            parts[v] = i
             mentioned.add(v)
         else:
             bail(line_no, 0, f"unknown record {tag!r}")
@@ -227,14 +227,14 @@ def parse_instance(text: str) -> InstanceFile:
     cap = None
     if kind == "capvc":
         vec = [0] * n
-        for v, (x, _line) in caps.items():
+        for v, x in caps.items():
             vec[dense[v]] = x
         cap = tuple(vec)
     red = tuple(sorted(dense[v] for v in reds))
     part_vec = None
     if kind == "is":
         vec = [0] * n
-        for v, (i, _line) in parts.items():
+        for v, i in parts.items():
             vec[dense[v]] = i
         part_vec = tuple(vec)
     return InstanceFile(kind, g, k, ell, cap, red, part_vec, tuple(labels))

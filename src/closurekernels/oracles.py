@@ -2,19 +2,23 @@
 
 These are the ground truth the reduction rules are tested against, so they
 are written directly from the problem definitions and kept independent of
-the kernelization code. Every yes answer carries a witness that is
-re-validated before being returned, and `is_solution` is the one
-feasibility predicate per problem. Deterministic: candidate enumeration in
-lexicographic order by increasing size. Two searches serve most oracles.
-`_smallest_set` tries vertex sets smallest first (connected vertex cover,
-dominating set, component order connectivity). `graph.first_clique` finds
-the first k pairwise-compatible items over bitmasks: independent set over
-vertices, induced matching over edges, multicolored independent set over
-the vertices in part order, and exact set cover over the family. The
-capacitated vertex cover oracle branches on `int` masks of its chosen
-vertices and of each edge's endpoints. No `solve_*` oracle recurses, so
-deep inputs end in an answer, not a `RecursionError`. The one size cap
-counts vertices.
+the kernelization code. Every yes answer carries a witness. `solve_exact`
+is the one checked entry point: it dispatches on the instance's kind and
+raises RuntimeError unless a yes answer's witness passes `is_solution`, the
+one feasibility predicate per problem. The check is a raise, not an assert,
+so `python -O` keeps it. The per-problem `solve_*` oracles do not check
+their own witnesses; `solve_exact_set_cover`, which has no problem class
+and is not dispatched, asserts its cover. Deterministic: candidate
+enumeration in lexicographic order by increasing size. Two searches serve
+most oracles. `_smallest_set` tries vertex sets smallest first (connected
+vertex cover, dominating set, component order connectivity).
+`graph.first_clique` finds the first k pairwise-compatible items over
+bitmasks: independent set over vertices, induced matching over edges,
+multicolored independent set over the vertices in part order, and exact set
+cover over the family. The capacitated vertex cover oracle branches on
+`int` masks of its chosen vertices and of each edge's endpoints. No
+`solve_*` oracle recurses, so deep inputs end in an answer, not a
+`RecursionError`. The one size cap counts vertices.
 """
 from __future__ import annotations
 
@@ -192,7 +196,6 @@ def solve_capvc_exact(g: Graph, cap: tuple[int, ...], k: int,
         path.append(~j)
         i = j + 1
     if witness is not None:
-        assert len(witness) <= k and capvc_assignment_feasible(g, witness, cap)
         return OracleResult(True, witness, {"feasibility_checks": checks})
     return OracleResult(False, stats={"feasibility_checks": checks})
 
@@ -219,7 +222,6 @@ def solve_is_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:
     full = (1 << g.n) - 1
     got, nodes = first_clique([full ^ mask for mask in g.adjacency_masks()], k)
     best = None if got is None else frozenset(got)
-    assert best is None or is_independent_set(g, best)
     return OracleResult(best is not None, best, {"nodes": nodes})
 
 
@@ -257,7 +259,6 @@ def solve_im_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:
     full = (1 << len(edges)) - 1
     got, nodes = first_clique([full ^ (near[u] | near[v]) for u, v in edges], k)
     matching = None if got is None else frozenset(edges[i] for i in got)
-    assert matching is None or is_induced_matching(g, matching)
     return OracleResult(matching is not None, matching, {"nodes": nodes})
 
 
@@ -330,7 +331,6 @@ def solve_multicolored_is_exact(g: Graph, parts: list[tuple[int, ...]],
     got, nodes = first_clique([full ^ sum(pos[w] for w in g.neighbors(v)) for v in order],
                               len(parts))
     pick = None if got is None else tuple(order[i] for i in got)
-    assert pick is None or is_independent_set(g, pick)
     return OracleResult(pick is not None, pick, {"nodes": nodes})
 
 
@@ -361,30 +361,35 @@ def solve_exact_set_cover(universe_size: int, family: list[frozenset[int]],
 # dispatch by problem
 
 def solve_exact(problem, max_n: int) -> OracleResult:
-    """The one oracle dispatch: the brute-force answer for a typed instance,
-    chosen by its class's `file_kind`, refused above `max_n` vertices. An
-    `is` instance with several parts asks for one vertex per part. Oracles
-    are looked up at call time, so wrappers rebound over them
-    (perfbench/tracing.py) see the calls."""
+    """The one oracle dispatch and the one checked entry point: the
+    brute-force answer for a typed instance, chosen by its class's
+    `file_kind`, refused above `max_n` vertices. An `is` instance with
+    several parts asks for one vertex per part. A yes answer's witness must
+    pass `is_solution`, else RuntimeError: that is an oracle bug, not bad
+    input. Oracles are looked up at call time, so wrappers rebound over
+    them (perfbench/tracing.py) see the calls."""
     kind = getattr(problem, "file_kind", None)
     g, k = problem.graph, problem.k
     if kind == "is":
         parts = problem.groups()
-        if len(parts) <= 1:
-            return solve_is_exact(g, k, max_n=max_n)
-        return solve_multicolored_is_exact(g, parts, max_n=max_n)
-    if kind == "capvc":
-        return solve_capvc_exact(g, problem.cap, k, max_n=max_n)
-    if kind == "convc":
+        res = (solve_is_exact(g, k, max_n=max_n) if len(parts) <= 1
+               else solve_multicolored_is_exact(g, parts, max_n=max_n))
+    elif kind == "capvc":
+        res = solve_capvc_exact(g, problem.cap, k, max_n=max_n)
+    elif kind == "convc":
         # an annotated instance's red vertices must be in the cover
-        return solve_convc_exact(g, k, max_n, getattr(problem, "red", frozenset()))
-    if kind == "coc":
-        return solve_coc_exact(g, problem.ell, k, max_n=max_n)
-    if kind == "im":
-        return solve_im_exact(g, k, max_n=max_n)
-    if kind == "ds":
-        return solve_ds_exact(g, k, max_n=max_n)
-    raise TypeError(f"no oracle for {type(problem).__name__}")
+        res = solve_convc_exact(g, k, max_n, getattr(problem, "red", frozenset()))
+    elif kind == "coc":
+        res = solve_coc_exact(g, problem.ell, k, max_n=max_n)
+    elif kind == "im":
+        res = solve_im_exact(g, k, max_n=max_n)
+    elif kind == "ds":
+        res = solve_ds_exact(g, k, max_n=max_n)
+    else:
+        raise TypeError(f"no oracle for {type(problem).__name__}")
+    if res.answer and res.witness is not None and not is_solution(problem, res.witness):
+        raise RuntimeError("witness failed validation")
+    return res
 
 
 def is_solution(problem, witness) -> bool:

@@ -316,7 +316,7 @@ def suite_setcover_gadget(trials: int = 200, seed: int = 0) -> SuiteResult:
         family = _random_cover_family(rng, universe, lam, nsets)
         inst = generators.gen_capvc_lowerbound(universe, family, lam, k)
         want = oracles.solve_exact_set_cover(universe, family, lam, k).answer
-        got = oracles.solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=32).answer
+        got = oracles.solve_exact(inst, max_n=32).answer
         problems = []
         if want != got:
             problems.append(f"gadget answer {got} != set cover answer {want}")
@@ -351,10 +351,11 @@ def suite_composition_patterns(trials: int = 16, seed: int = 0) -> SuiteResult:
         instances = [yes if b else no for b in pattern]
         host, budget = generators.gen_is_composition(instances, t, q, k)
         want = any(pattern)
-        got = oracles.solve_is_exact(host, budget, max_n=24).answer
+        problem = IsInstance(host, (0,) * host.n, budget)
+        got = oracles.solve_exact(problem, max_n=24).answer
         if got != want:
             rec.fail(f"pattern {pattern}: host answer {got}, expected {want}",
-                     from_problem(IsInstance(host, (0,) * host.n, budget)))
+                     from_problem(problem))
             continue
         layout = generators.composition_layout(instances, t, q, k)
         problems = []

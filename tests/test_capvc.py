@@ -5,7 +5,6 @@ import pytest
 from closurekernels.capvc import (
     CapVcInstance,
     kernelize_capvc,
-    replay_capvc_trace,
     twin_classes,
     twin_crown_rule,
 )
@@ -14,7 +13,7 @@ from closurekernels.closure import (
     count_maximal_cliques,
     weak_closure_ordering,
 )
-from closurekernels.graph import Graph, complete_bipartite, empty_graph, star_graph
+from closurekernels.graph import Graph, complete_bipartite, star_graph
 from closurekernels.oracles import solve_capvc_exact
 
 
@@ -70,7 +69,7 @@ def test_kernel_star_leaves_k_plus_one():
 
 def test_kernel_isolated_class():
     # isolated vertices form one class with an empty neighborhood
-    inst = CapVcInstance(empty_graph(5), (0,) * 5, 1)
+    inst = CapVcInstance(Graph(5), (0,) * 5, 1)
     reduced, trace = kernelize_capvc(inst)
     assert len(trace) == 3
     assert reduced.graph.n == 2
@@ -82,6 +81,17 @@ def test_capacity_goes_negative():
     inst = CapVcInstance(g, (1,) + (2,) * 5, 1)
     reduced, _ = kernelize_capvc(inst)
     assert reduced.cap[0] == 1 - 3
+
+
+def replay_capvc_trace(inst, trace):
+    """Re-apply a recorded trace: each entry names the removed vertex and
+    the vertices whose capacity dropped by one."""
+    for entry in trace:
+        cap = list(inst.cap)
+        for v in entry["decremented"]:
+            cap[v] -= 1
+        inst = inst.without([entry["removed"]], cap=tuple(cap))
+    return inst
 
 
 def test_trace_replay_matches():

@@ -667,7 +667,8 @@ class TestEntryPoints:
         assert err == "internal error: OSError: [Errno 28] No space left on device\n"
 
     def test_witness_failing_recheck_is_internal(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(oracles_mod, "solve_exact",
+        # an inner oracle's bad witness, caught by solve_exact's one check
+        monkeypatch.setattr(oracles_mod, "solve_convc_exact",
                             lambda *a, **kw: OracleResult(True, frozenset()))
         code, out, err = run(capsys, "solve", "convc", write(tmp_path, "a.ck", C4_CONVC))
         assert code == 4 and out == ""

@@ -26,7 +26,6 @@ from closurekernels.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    empty_graph,
     last_graph_memo,
     path_graph,
     star_graph,
@@ -116,7 +115,7 @@ def engine_cases():
     for k in range(1, 8):
         yield complete_graph(k)
         yield star_graph(k)
-        yield empty_graph(k)
+        yield Graph(k)
         for b in range(1, 7):
             yield complete_bipartite(k, b)
     for _ in range(60):
@@ -292,8 +291,8 @@ def test_vertex_closure_basics():
     # universal vertices have closure 0
     assert all(vertex_closure(kn, v) == 0 for v in range(5))
     assert closure_number(kn) == 1
-    assert closure_number(empty_graph(4)) == 1
-    assert closure_number(empty_graph(0)) == 1
+    assert closure_number(Graph(4)) == 1
+    assert closure_number(Graph(0)) == 1
     with pytest.raises(ValueError):
         vertex_closure(c4, 9)
 
@@ -378,7 +377,7 @@ def test_degeneracy_values():
     assert degeneracy(complete_graph(6))[0] == 5
     assert degeneracy(cycle_graph(5))[0] == 2
     assert degeneracy(star_graph(7))[0] == 1
-    assert degeneracy(empty_graph(3))[0] == 0
+    assert degeneracy(Graph(3))[0] == 0
     d, order = degeneracy(path_graph(6))
     assert d == 1 and sorted(order) == list(range(6))
 

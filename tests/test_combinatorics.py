@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,6 @@ import pytest
 from closurekernels.combinatorics import (
     Sunflower,
     find_sunflower,
-    is_matching,
     maximum_matching,
     sunflower_guarantee,
     validate_sunflower,
@@ -19,7 +19,6 @@ from closurekernels.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    empty_graph,
     path_graph,
     star_graph,
 )
@@ -34,6 +33,15 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph(10, outer + inner + spokes)
+
+
+def is_matching(g, edges):
+    seen = set()
+    for u, v in edges:
+        if not g.has_edge(u, v) or u in seen or v in seen:
+            return False
+        seen.update((u, v))
+    return True
 
 
 def brute_matching_number(g):
@@ -57,7 +65,7 @@ def brute_matching_number(g):
 
 
 def test_matching_small_examples():
-    assert len(maximum_matching(empty_graph(4))) == 0
+    assert len(maximum_matching(Graph(4))) == 0
     assert len(maximum_matching(path_graph(4))) == 2
     assert len(maximum_matching(cycle_graph(5))) == 2
     assert len(maximum_matching(complete_graph(6))) == 3
@@ -124,7 +132,7 @@ def test_vclp_examples():
     assert sols.ones == frozenset({0})
     assert [v for v, x in enumerate(sols.value2) if x == 0] == [1, 2, 3, 4]
     # no edges: all zeros
-    assert vclp_half_integral(empty_graph(3)).value2 == (0, 0, 0)
+    assert vclp_half_integral(Graph(3)).value2 == (0, 0, 0)
 
 
 def test_vclp_structure():
@@ -143,6 +151,64 @@ def test_vclp_exhaustive_small():
         assert vclp_is_feasible(g, sol.value2)
         assert Fraction(sum(sol.value2), 2) == exhaustive_vclp_opt(g)
         assert Fraction(sum(sol.value2), 2) == Fraction(len(sol.halves), 2) + len(sol.ones)
+
+
+def kuhn_vclp_value2(g):
+    """The vertex cover LP as it was computed before it used the blossom
+    matching: Kuhn's augmenting paths on the double cover, then König's
+    cover from the unmatched left vertices; the reference for
+    vclp_half_integral."""
+    n = g.n
+    adj = [list(g.neighbors(v)) for v in range(n)]
+    match_right = [-1] * n
+    for root in range(n):
+        seen = [False] * n
+        stack = [[root, iter(adj[root]), -1]]
+        while stack:
+            stack[-1][2] = r = next((r for r in stack[-1][1] if not seen[r]), -1)
+            if r == -1:
+                stack.pop()
+            elif match_right[r] == -1:
+                for l, _, r in stack:
+                    match_right[r] = l
+                break
+            else:
+                seen[r] = True
+                stack.append([match_right[r], iter(adj[match_right[r]]), -1])
+    match_left = [-1] * n
+    for r, l in enumerate(match_right):
+        if l != -1:
+            match_left[l] = r
+    reached_left = [False] * n
+    reached_right = [False] * n
+    queue = deque(l for l in range(n) if match_left[l] == -1)
+    for l in queue:
+        reached_left[l] = True
+    while queue:
+        l = queue.popleft()
+        for r in adj[l]:
+            if not reached_right[r]:
+                reached_right[r] = True
+                l2 = match_right[r]
+                if l2 != -1 and not reached_left[l2]:
+                    reached_left[l2] = True
+                    queue.append(l2)
+    return tuple(int(not reached_left[v]) + int(reached_right[v]) for v in range(n))
+
+
+def test_vclp_matches_the_kuhn_reference():
+    # the König cover is the same for every maximum matching, so the
+    # blossom matching must give the reference's value2 exactly
+    fixed = [Graph(0), Graph(1), Graph(7), complete_graph(1), complete_graph(2),
+             complete_graph(9), complete_bipartite(1, 5), complete_bipartite(3, 4),
+             complete_bipartite(6, 2), cycle_graph(7), path_graph(8), petersen()]
+    for g in fixed:
+        assert vclp_half_integral(g).value2 == kuhn_vclp_value2(g)
+    rng = random.Random(2023)
+    for _ in range(3000):
+        n = rng.randint(0, 20)
+        g = random_graph(n, rng.choice([0.0, 0.1, 0.2, 0.35, 0.5, 0.8, 1.0]), rng)
+        assert vclp_half_integral(g).value2 == kuhn_vclp_value2(g)
 
 
 def test_sunflower_identical_sets():

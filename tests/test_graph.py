@@ -15,7 +15,6 @@ from closurekernels.graph import (
     contains_biclique,
     cycle_graph,
     delete_vertices,
-    empty_graph,
     first_clique,
     induced_subgraph,
     is_clique,
@@ -162,8 +161,8 @@ def test_maximal_cliques_pivoting():
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
     assert maximal_cliques(g) == [(0, 1, 2), (0, 2, 3)]
     assert clique_number(g) == 3
-    assert maximal_cliques(empty_graph(3)) == [(0,), (1,), (2,)]
-    assert maximal_cliques(empty_graph(0)) == [()]
+    assert maximal_cliques(Graph(3)) == [(0,), (1,), (2,)]
+    assert maximal_cliques(Graph(0)) == [()]
     assert clique_number(complete_graph(5)) == 5
 
 

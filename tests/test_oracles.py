@@ -13,7 +13,6 @@ from closurekernels.graph import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    empty_graph,
     is_connected_set,
     is_vertex_cover,
     path_graph,
@@ -21,6 +20,7 @@ from closurekernels.graph import (
 )
 from closurekernels.induced_matching import ImInstance
 from closurekernels.instance_io import IsInstance
+from closurekernels import oracles as oracles_mod
 from closurekernels.oracles import (
     OracleCapExceeded,
     OracleResult,
@@ -33,6 +33,7 @@ from closurekernels.oracles import (
     solve_coc_exact,
     solve_convc_exact,
     solve_ds_exact,
+    solve_exact,
     solve_exact_set_cover,
     solve_im_exact,
     solve_is_exact,
@@ -123,7 +124,7 @@ def test_convc_annotated_required():
 
 
 def test_convc_edgeless():
-    assert solve_convc_exact(empty_graph(3), 0).answer
+    assert solve_convc_exact(Graph(3), 0).answer
 
 
 # --- independent set ---------------------------------------------------------
@@ -132,7 +133,7 @@ def test_is_oracle():
     assert solve_is_exact(cycle_graph(5), 2).answer
     assert solve_is_exact(cycle_graph(5), 3).answer is False
     assert solve_is_exact(complete_graph(4), 2).answer is False
-    assert solve_is_exact(empty_graph(4), 4).answer
+    assert solve_is_exact(Graph(4), 4).answer
     assert solve_is_exact(complete_graph(3), 0).answer
 
 
@@ -171,8 +172,8 @@ def test_ds_oracle():
     assert solve_ds_exact(complete_graph(4), 1).answer
     assert solve_ds_exact(cycle_graph(6), 2).answer
     assert solve_ds_exact(cycle_graph(6), 1).answer is False
-    assert solve_ds_exact(empty_graph(3), 2).answer is False
-    assert solve_ds_exact(empty_graph(3), 3).answer
+    assert solve_ds_exact(Graph(3), 2).answer is False
+    assert solve_ds_exact(Graph(3), 3).answer
 
 
 def test_ds_forbidden():
@@ -242,7 +243,7 @@ def test_exact_set_cover():
 # --- shared behaviour --------------------------------------------------------
 
 def test_size_cap():
-    big = empty_graph(20)
+    big = Graph(20)
     with pytest.raises(OracleCapExceeded):
         solve_is_exact(big, 2)
     assert solve_is_exact(big, 2, max_n=25).answer
@@ -598,7 +599,7 @@ def test_feasibility_matches_the_recursive_rerouting():
 # --- deep inputs: every search keeps its own stack ---------------------------
 
 def test_is_on_a_deep_edgeless_graph():
-    g = empty_graph(1500)
+    g = Graph(1500)
     res = solve_is_exact(g, 1500, max_n=2000)
     assert res.answer and res.witness == frozenset(g.vertices())
     assert res.stats == {"nodes": 1501}
@@ -717,3 +718,48 @@ def test_is_solution_agrees_with_the_definitions():
     assert kinds >= {("capvc", False), ("convc", False), ("coc", False), ("ds", False),
                      ("im", False), ("is", False), ("is", True)}
 
+
+
+# --- solve_exact validates every witness -------------------------------------
+# (problem, the oracle solve_exact dispatches it to, a witness that solves it,
+# one over or under its budget, one that is infeasible within its budget)
+C4 = cycle_graph(4)
+P4 = path_graph(4)
+P5 = path_graph(5)
+BAD_WITNESS_CASES = {
+    "capvc": (CapVcInstance(C4, (2, 2, 2, 2), 2), "solve_capvc_exact",
+              frozenset({0, 2}), frozenset({0, 1, 2}), frozenset({0, 1})),
+    "convc": (ConVcInstance(C4, 3), "solve_convc_exact",
+              frozenset({0, 1, 2}), frozenset({0, 1, 2, 3}), frozenset({0, 2})),
+    "convc-annotated": (AnnotatedConVcInstance(C4, frozenset({3}), 3), "solve_convc_exact",
+                        frozenset({0, 1, 3}), frozenset({0, 1, 2, 3}), frozenset({0, 1, 2})),
+    "coc": (CocInstance(C4, 2, 2), "solve_coc_exact",
+            frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({0, 2})),
+    "ds": (DsInstance(C4, 2), "solve_ds_exact",
+           frozenset({0, 2}), frozenset({0, 1, 2}), frozenset({0})),
+    "im": (ImInstance(P5, 2), "solve_im_exact",
+           frozenset({(0, 1), (3, 4)}), frozenset({(0, 1)}), frozenset({(0, 1), (2, 3)})),
+    "is": (IsInstance(C4, (0,) * 4, 2), "solve_is_exact",
+           frozenset({0, 2}), frozenset({0}), frozenset({0, 1})),
+    # parts {0, 1} and {2, 3}, each a clique of the path 0-1-2-3
+    "is-multi-part": (IsInstance(P4, (0, 0, 1, 1), 0), "solve_multicolored_is_exact",
+                      (0, 2), (0,), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WITNESS_CASES))
+def test_solve_exact_raises_on_a_bad_witness(case, monkeypatch):
+    problem, oracle, good, over_budget, infeasible = BAD_WITNESS_CASES[case]
+    assert solve_exact(problem, max_n=10).answer  # the real oracle passes the check
+    for witness in (over_budget, infeasible):
+        assert not is_solution(problem, witness)
+        monkeypatch.setattr(oracles_mod, oracle, lambda *a, w=witness, **kw: OracleResult(True, w))
+        with pytest.raises(RuntimeError, match="^witness failed validation$"):
+            solve_exact(problem, max_n=10)
+    monkeypatch.setattr(oracles_mod, oracle, lambda *a, **kw: OracleResult(True, good))
+    assert solve_exact(problem, max_n=10).witness == good
+    # a no answer, or a yes without a witness, has nothing to check
+    monkeypatch.setattr(oracles_mod, oracle, lambda *a, **kw: OracleResult(False, infeasible))
+    assert not solve_exact(problem, max_n=10).answer
+    monkeypatch.setattr(oracles_mod, oracle, lambda *a, **kw: OracleResult(True))
+    assert solve_exact(problem, max_n=10).answer
