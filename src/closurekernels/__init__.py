@@ -2,23 +2,28 @@
 
 Library layout:
 
-- graph: immutable dense-id graphs, set predicates, false-twin classes
+- graph: immutable dense-id graphs, set predicates, false-twin classes,
+  maximal cliques
 - closure: closure number, weak closure orderings, neighborhood classes
 - combinatorics: one maximum matching, the vertex cover LP on it, sunflowers
-- reduction: `Instance` (`vertex_fields`, `fields()`, `without`), the rule
-  driver every kernel runs (`exhaust`) and `Decided`
+- reduction: `Instance` (`vertex_fields`, `fields()`, `without`),
+  `IsInstance`, the rule driver every kernel runs (`exhaust`) and `Decided`
 - capvc / convc / induced_matching / domset: reduction rules, kernels, size
   bound reports and canonical decided instances
 - ramsey: clique-or-independent-set thresholds and search
-- oracles: brute-force exact solvers; `solve_exact` dispatches and checks
-  each witness once with `is_solution`
-- generators: hard-instance constructions and random families
-- instance_io / cli / commands: the line-oriented instance format and the
-  command line (`cli` runs params and kernel, `commands` solve, verify and
-  generate)
+- cliquesearch: the first k pairwise-compatible items, the one bitmask
+  search of the oracles and the Ramsey fallback
+- oracles: brute-force exact solvers and the cover and connectivity
+  predicates; `solve_exact` dispatches and checks each witness once with
+  `is_solution`
+- generators: named small graphs, hard-instance constructions and random
+  families
+- instance_io: the line-oriented instance format
+- cli: the command line's dispatcher; commands.<name>: each subcommand
+- verify: the suites' shared core and registry; suites.<name>: each suite
 
-`cli` and `verify` reach the heavier modules through `_lazy`, so a call
-runs only the code of the modules its route uses.
+Modules reach the heavier ones through `_lazy`, so a call compiles and runs
+only the code of the modules its route uses.
 """
 
 import importlib.util

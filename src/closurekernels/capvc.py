@@ -9,9 +9,12 @@ negative-capacity vertex can never take an edge.
 """
 from __future__ import annotations
 
-from .closure import cover_class_report
+from . import _lazy
 from .graph import Graph, twin_classes
 from .reduction import Instance, exhaust
+
+# only the size report reads it: `solve capvc` compiles no closure code
+closure = _lazy("closure")
 
 
 class CapVcInstance(Instance):
@@ -66,5 +69,5 @@ def kernelize_capvc(inst: CapVcInstance) -> tuple[CapVcInstance, list[dict]]:
 def size_bound_report(inst: CapVcInstance) -> dict:
     """Size check of a reduced instance: k plus the class-count bound with
     classes of at most k + 2 members."""
-    return cover_class_report(inst.graph, inst.k, inst.k + 2)
+    return closure.cover_class_report(inst.graph, inst.k, inst.k + 2)
 

@@ -13,10 +13,10 @@ row maximum). The table is walked wedge by wedge on sparse graphs and built
 from `int` neighborhood masks, one popcount per pair, on dense ones.
 closure_number reads its maxima. ClosureEngine peels from a copy, builds a
 histogram of each row, and keeps counts up to date from the wedges through
-the removed vertex and each closure from its row's histogram.
-vertex_closure, _suffix_closures and exhaustive_weak_closure recompute from
-scratch and share nothing with the table, so they stay the independent
-references.
+the removed vertex and each closure from its row's histogram. The
+independent references that recompute from scratch (per-vertex closure, the
+suffix recount of an ordering, the subset-DP optimum) live with the
+parameter-engines suite, their one user (`suites.parameter_engines`).
 
 The pristine count table and the weak closure ordering are built once per
 graph object and kept for the last graph each was asked about, so the callers
@@ -29,26 +29,10 @@ table.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from heapq import heappop, heappush
 from math import comb
 
-from .graph import Graph, Record, induced_subgraph, last_graph_memo, maximal_cliques
-
-
-def vertex_closure(g: Graph, v: int) -> int:
-    """max over w outside N[v] of |N(v) ∩ N(w)|; 0 when no such w."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    nv = g.adj(v)
-    best = 0
-    for w in g.vertices():
-        if w == v or w in nv:
-            continue
-        common = len(nv & g.adj(w))
-        if common > best:
-            best = common
-    return best
+from .graph import Graph, Record, last_graph_memo, maximal_cliques
 
 
 class ClosureOrdering(Record):
@@ -66,18 +50,6 @@ class ClosureOrdering(Record):
 
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
-
-
-def _suffix_closures(g: Graph, order: tuple[int, ...]) -> tuple[int, ...]:
-    # recompute each step's closure in the suffix graph, independent of how
-    # the order was produced
-    steps = []
-    alive = list(order)
-    for i in range(len(order)):
-        sub, idmap = induced_subgraph(g, alive[i:])
-        pos = {old: new for new, old in enumerate(idmap)}
-        steps.append(vertex_closure(sub, pos[order[i]]))
-    return tuple(steps)
 
 
 class _MinBuckets:
@@ -236,59 +208,6 @@ def weak_closure_ordering(g: Graph) -> ClosureOrdering:
     closure, and the peeling chain attains that max.
     """
     return ClosureEngine(g).peel()
-
-
-def verify_closure_ordering(g: Graph, ordering: ClosureOrdering) -> bool:
-    """Recompute the certificate from scratch and compare."""
-    if sorted(ordering.order) != list(g.vertices()):
-        return False
-    steps = _suffix_closures(g, ordering.order)
-    if steps != ordering.step_closure:
-        return False
-    return ordering.weak_closure == 1 + max(steps, default=0)
-
-
-def exhaustive_weak_closure(g: Graph) -> int:
-    """Minimum over all n! peeling orders of (1 + max step closure).
-
-    Subset DP over bitmasks, equivalent to enumerating every order:
-    best(S) = min over v in S of max(cl_{G[S]}(v), best(S - v)).
-    Intended as an independent oracle for small n (<= ~16).
-    """
-    n = g.n
-    if n == 0:
-        return 1
-    masks = g.adjacency_masks()
-
-    @lru_cache(maxsize=None)
-    def best(s: int) -> int:
-        if s == 0:
-            return 0
-        res = None
-        t = s
-        while t:
-            vbit = t & (-t)
-            t ^= vbit
-            v = vbit.bit_length() - 1
-            nv = masks[v] & s
-            cl = 0
-            rest = s & ~nv & ~vbit
-            while rest:
-                wbit = rest & (-rest)
-                rest ^= wbit
-                w = wbit.bit_length() - 1
-                c = (nv & masks[w] & s).bit_count()
-                if c > cl:
-                    cl = c
-            sub = best(s ^ vbit)
-            val = cl if cl > sub else sub
-            if res is None or val < res:
-                res = val
-        return res  # type: ignore[return-value]
-
-    out = 1 + best((1 << n) - 1)
-    best.cache_clear()
-    return out
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:

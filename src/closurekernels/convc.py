@@ -14,9 +14,13 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .closure import closure_number, cover_class_report
+from . import _lazy
 from .graph import Graph, connected_components, is_clique, twin_classes
 from .reduction import Decided, Instance, exhaust
+
+# only the size reports read it: `solve convc` and `solve coc` compile no
+# closure code
+closure = _lazy("closure")
 
 
 class ConVcInstance(Instance):
@@ -74,7 +78,7 @@ def twinset_bound_report(inst: ConVcInstance) -> dict:
     """Size check of a reduced instance: k plus the class-count bound with
     classes as large as the largest twin class left."""
     cap = max((len(c) for c in twin_classes(inst.graph)), default=1)
-    return cover_class_report(inst.graph, inst.k, cap)
+    return closure.cover_class_report(inst.graph, inst.k, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,7 @@ def kernelize_convc_annotated(inst: AnnotatedConVcInstance) -> tuple[AnnotatedCo
 def annotated_bound_report(inst: AnnotatedConVcInstance) -> dict:
     """Size check of a reduced annotated instance: n below k + c*k*(k-1)/2."""
     g, k = inst.graph, inst.k
-    bound = k + closure_number(g) * k * (k - 1) // 2
+    bound = k + closure.closure_number(g) * k * (k - 1) // 2
     return {"name": "annotated-quadratic", "value": bound, "measured": g.n,
             "verdict": "within" if g.n < bound else "exceeded"}
 

@@ -1,6 +1,7 @@
 """Dominating set on split graphs: structured orderings and three
 reductions, plus the biclique-freeness report that the biclique-certificate
-verify suite checks (there is no bipartite ds kernel).
+verify suite checks, with the biclique search it runs (there is no
+bipartite ds kernel).
 
 The split kernel works against the degree-sequence clique/independent
 bipartition of the current graph, computed once per graph:
@@ -21,18 +22,14 @@ is a maximum clique, so the kernel does not try it.
 """
 from __future__ import annotations
 
-from .closure import ClosureOrdering, weak_closure_ordering
-from .combinatorics import find_sunflower, sunflower_guarantee
-from .graph import (
-    Graph,
-    Record,
-    clique_number,
-    contains_biclique,
-    is_clique,
-    is_independent_set,
-    last_graph_memo,
-)
+from . import _lazy
+from .graph import Graph, Record, clique_number, is_clique, is_independent_set, last_graph_memo
 from .reduction import Decided, Instance, exhaust
+
+# used only by the kernel and the reports: `solve ds`, which needs no more
+# than `DsInstance`, compiles neither
+closure = _lazy("closure")
+combinatorics = _lazy("combinatorics")
 
 
 class DsInstance(Instance):
@@ -93,7 +90,7 @@ def _closure_among(masks: list[int], alive: int, v: int) -> int:
                default=0)
 
 
-def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
+def good_ordering(g: Graph, part: SplitPartition) -> closure.ClosureOrdering:
     """An ordering certifying the weak closure in which every clique vertex
     comes before every independent vertex.
 
@@ -103,7 +100,7 @@ def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
     sorted clique-then-independent order. Every closure, the certificate's
     recount in each suffix graph included, is a row of mask popcounts.
     """
-    gamma = weak_closure_ordering(g).weak_closure
+    gamma = closure.weak_closure_ordering(g).weak_closure
     cset = set(part.clique)
     iset = set(part.independent)
     masks = g.adjacency_masks()
@@ -135,7 +132,7 @@ def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
     for v in order:  # each step's closure in G[order[i:]], counted afresh
         steps.append(_closure_among(masks, alive, v))
         alive ^= 1 << v
-    ordering = ClosureOrdering(order, tuple(steps), 1 + max(steps, default=0))
+    ordering = closure.ClosureOrdering(order, tuple(steps), 1 + max(steps, default=0))
     if ordering.weak_closure != gamma:
         raise GoodOrderingError("constructed ordering does not certify the weak closure")
     pos = ordering.position()
@@ -145,8 +142,8 @@ def good_ordering(g: Graph, part: SplitPartition) -> ClosureOrdering:
     return ordering
 
 
-def trimmed_neighborhoods(g: Graph, part: SplitPartition,
-                          ordering: ClosureOrdering) -> dict[int, tuple[int, frozenset[int]]]:
+def trimmed_neighborhoods(g: Graph, part: SplitPartition, ordering: closure.ClosureOrdering
+                          ) -> dict[int, tuple[int, frozenset[int]]]:
     """For each independent vertex u: the length s of the longest prefix of
     the ordered clique fully adjacent to u, and N(u) minus that prefix.
 
@@ -259,7 +256,7 @@ def sunflower_rule(inst: DsInstance) -> tuple[DsInstance, dict | None]:
     ordering = good_ordering(g, part)
     trimmed = trimmed_neighborhoods(g, part, ordering)
     family = [trimmed[u][1] for u in ivs]
-    sf = find_sunflower(family, k + 2)
+    sf = combinatorics.find_sunflower(family, k + 2)
     if sf is None:
         return inst, None
     chosen = sorted(sf.members)[:k + 2]
@@ -299,19 +296,56 @@ def split_bound_report(inst: DsInstance) -> dict:
     side plus one."""
     g, k = inst.graph, inst.k
     part = split_partition(g)
-    wc = weak_closure_ordering(g).weak_closure
+    wc = closure.weak_closure_ordering(g).weak_closure
     isize, csize = len(part.independent), len(part.clique)
-    ibound = sunflower_guarantee(wc - 1, k + 2)
+    ibound = combinatorics.sunflower_guarantee(wc - 1, k + 2)
     cbound = wc * isize + 1
     return {"name": "split-side-counts", "independent": isize,
             "independent_bound": ibound, "clique": csize, "clique_bound": cbound,
             "verdict": "within" if isize < ibound and csize <= cbound else "exceeded"}
 
 
+def contains_biclique(g: Graph, r: int, s: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Search for K_{r,s} as a (not necessarily induced) subgraph.
+
+    Returns (side_r, side_s) as sorted vertex tuples, or None. Exhaustive with
+    common-neighborhood pruning; smallest witness in lexicographic order.
+    """
+    if r < 1 or s < 1:
+        raise ValueError("biclique sides must be positive")
+    # enumerate the smaller side to cut the search space
+    if r > s:
+        hit = contains_biclique(g, s, r)
+        if hit is None:
+            return None
+        return hit[1], hit[0]
+
+    verts = list(g.vertices())
+
+    def extend(chosen: list[int], common: frozenset[int], start: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        if len(chosen) == r:
+            if len(common) >= s:
+                return tuple(chosen), tuple(sorted(common)[:s])
+            return None
+        need = r - len(chosen)
+        for i in range(start, g.n - need + 1):
+            v = verts[i]
+            new_common = common & g.adj(v) if chosen else g.adj(v)
+            # remaining picks can only shrink the common side further
+            if len(new_common) < s:
+                continue
+            hit = extend(chosen + [v], new_common, i + 1)
+            if hit is not None:
+                return hit
+        return None
+
+    return extend([], frozenset(), 0)
+
+
 def biclique_freeness_report(g: Graph) -> dict:
     """Weak closure, clique number, and whether the graph stays free of the
     complete bipartite subgraph both sides of size closure + clique + 1."""
-    wc = weak_closure_ordering(g).weak_closure
+    wc = closure.weak_closure_ordering(g).weak_closure
     omega = clique_number(g)
     rho = wc + omega + 1
     found = contains_biclique(g, rho, rho)

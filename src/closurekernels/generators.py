@@ -1,6 +1,7 @@
 """Instance generators.
 
-Random families with controlled parameters, plus two hard-instance
+Named small graphs (complete, cycle, path, star, complete bipartite),
+random families with controlled parameters, plus two hard-instance
 constructions built from NP-hard source problems: a capacitated vertex
 cover gadget over exact set cover, and an independent-set composition that
 merges a grid of small multicolored-IS instances into one host graph.
@@ -11,8 +12,38 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .closure import closure_number, weak_closure_ordering
-from .graph import Graph, complete_bipartite, is_clique
+from . import _lazy
+from .graph import Graph, is_clique
+
+# only the gadget's check and the weakly closed family read it
+closure = _lazy("closure")
+
+
+# ---------------------------------------------------------------------------
+# named graphs
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, combinations(range(n), 2))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(leaves: int) -> Graph:
+    """K_{1,leaves} with the hub at id 0."""
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b}; side A is 0..a-1, side B is a..a+b-1."""
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +105,7 @@ def gen_capvc_lowerbound(universe_size: int, family: list[frozenset[int]],
     g = Graph(n, edges)
     budget = 2 * lam * k + k
     assert g.m == 2 * lam * k + 2 * lam * f + lam * k * (2 * lam * k - 1)
-    assert closure_number(g) <= 2 * lam + 1
+    assert closure.closure_number(g) <= 2 * lam + 1
     return CapVcInstance(g, tuple(cap), budget)
 
 
@@ -282,7 +313,7 @@ def gen_random_weakly_closed(n: int, target_gamma: int, seed: int) -> Graph:
             g = _random_forest(rng, n)
         else:
             g = gen_random_split(n, rng.randrange(2 ** 30))
-        if weak_closure_ordering(g).weak_closure <= target_gamma:
+        if closure.weak_closure_ordering(g).weak_closure <= target_gamma:
             return g
     raise ValueError(
         f"no graph with weak closure <= {target_gamma} on {n} vertices "

@@ -4,14 +4,12 @@ Adjacency is stored as frozensets plus sorted tuples, so membership and
 intersection tests are cheap and all iteration orders are fixed by vertex
 id. The polynomial layers built on it handle sparse graphs with thousands
 of vertices; the exact oracles stay exponential and are capped.
-`first_clique` is the bitmask clique search that four exact oracles and
-the Ramsey fallback use to find the first k pairwise-compatible items.
 """
 from __future__ import annotations
 
 from functools import wraps
 from itertools import combinations
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -190,30 +188,6 @@ def last_graph_memo(fn: Callable[[Graph], T]) -> Callable[[Graph], T]:
     return memo
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, combinations(range(n), 2))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """K_{1,leaves} with the hub at id 0."""
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    """K_{a,b}; side A is 0..a-1, side B is a..a+b-1."""
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on `keep`, renumbered densely.
 
@@ -254,12 +228,6 @@ def is_independent_set(g: Graph, s: Iterable[int]) -> bool:
     return not any(g.has_edge(u, v) for u, v in combinations(vs, 2))
 
 
-def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
-    """Every vertex outside s has all its neighbors in s."""
-    ss = set(s)
-    return all(nb <= ss for v, nb in enumerate(g.adjacency()) if v not in ss)
-
-
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest member."""
     seen = [False] * g.n
@@ -281,51 +249,49 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return comps
 
 
-def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
-    """True iff G[s] is connected. The empty set counts as connected."""
-    vs = set(s)
-    if len(vs) <= 1:
-        return True
-    start = min(vs)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques via pivoting Bron–Kerbosch, as sorted tuples.
 
-    The search keeps its open nodes on an explicit stack, so a clique of
-    any size needs no recursion. Output order is deterministic (sorted
-    lexicographically at the end). The single empty clique is reported for
-    the empty graph.
+    The candidate set P and the excluded set X are `int` masks, so each
+    pivot key |P & N(u)| is one popcount. The search keeps its open nodes
+    on an explicit stack, so a clique of any size needs no recursion.
+    Output order is deterministic (sorted lexicographically at the end).
+    The single empty clique is reported for the empty graph.
     """
     if g.n == 0:
         return [()]
     out: list[tuple[int, ...]] = []
-    adj = g._sets
+    masks = g.adjacency_masks()
 
-    def node(r: tuple[int, ...], p: set[int], x: set[int]):
+    def node(r: tuple[int, ...], p: int, x: int) -> list:
         # pivot: vertex of p|x maximizing |p & N(u)|, ties by smallest id
-        pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
-        return r, p, x, iter(sorted(p - adj[pivot]))
+        best = pivot = -1
+        for u in _bits(p | x):
+            key = (p & masks[u]).bit_count()
+            if key > best:
+                best, pivot = key, u
+        return [r, p, x, iter(_bits(p & ~masks[pivot]))]
 
-    stack = [node((), set(g.vertices()), set())]
+    stack = [node((), (1 << g.n) - 1, 0)]
     while stack:
-        r, p, x, branches = stack[-1]
+        top = stack[-1]
+        r, p, x, branches = top
         v = next(branches, None)
         if v is None:
             stack.pop()
             continue
-        child_p, child_x = p & adj[v], x & adj[v]
-        p.remove(v)
-        x.add(v)
+        child_p, child_x = p & masks[v], x & masks[v]
+        top[1], top[2] = p ^ 1 << v, x | 1 << v
         # with no candidates left, r + v is maximal unless an excluded
         # vertex extends it
         if child_p:
@@ -339,79 +305,3 @@ def clique_number(g: Graph) -> int:
     if g.n == 0:
         return 0
     return max(len(c) for c in maximal_cliques(g))
-
-
-def first_clique(masks: Sequence[int], k: int) -> tuple[tuple[int, ...] | None, int]:
-    """The first k pairwise-compatible items as ascending indices, or None,
-    and the number of search nodes.
-
-    Bit j of masks[i] says items i and j may be chosen together (masks are
-    symmetric; an item's own bit is ignored). The answer is the first
-    k-clique in lexicographic order of index tuples. Depth-first search
-    that keeps, per open node, the mask of later items compatible with
-    every chosen one. A node is counted on entry and cut when the items
-    after its last choice cannot bring the choice up to k; its later
-    siblings would be cut too, so they are counted without being entered.
-    """
-    n = len(masks)
-    if k <= 0 or k > n:
-        return (() if k <= 0 else None), 1
-    chosen: list[int] = []
-    untried = [(1 << n) - 1]  # per open node, its compatible items not yet tried
-    nodes = 1
-    while untried:
-        left = untried[-1]
-        if left:
-            i = (left & -left).bit_length() - 1
-            nodes += 1
-            depth = len(chosen) + 1
-            if depth == k:
-                return (*chosen, i), nodes
-            left ^= 1 << i
-            if i + k - depth < n:
-                untried[-1] = left
-                chosen.append(i)
-                untried.append(left & masks[i])
-                continue
-            nodes += left.bit_count()
-        untried.pop()
-        if chosen:
-            chosen.pop()
-    return None, nodes
-
-
-def contains_biclique(g: Graph, r: int, s: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Search for K_{r,s} as a (not necessarily induced) subgraph.
-
-    Returns (side_r, side_s) as sorted vertex tuples, or None. Exhaustive with
-    common-neighborhood pruning; smallest witness in lexicographic order.
-    """
-    if r < 1 or s < 1:
-        raise ValueError("biclique sides must be positive")
-    # enumerate the smaller side to cut the search space
-    if r > s:
-        hit = contains_biclique(g, s, r)
-        if hit is None:
-            return None
-        return hit[1], hit[0]
-
-    verts = list(g.vertices())
-
-    def extend(chosen: list[int], common: frozenset[int], start: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        if len(chosen) == r:
-            if len(common) >= s:
-                return tuple(chosen), tuple(sorted(common)[:s])
-            return None
-        need = r - len(chosen)
-        for i in range(start, g.n - need + 1):
-            v = verts[i]
-            new_common = common & g.adj(v) if chosen else g.adj(v)
-            # remaining picks can only shrink the common side further
-            if len(new_common) < s:
-                continue
-            hit = extend(chosen + [v], new_common, i + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    return extend([], frozenset(), 0)

@@ -10,10 +10,13 @@ The reductions, in the order the kernel loop tries them:
 """
 from __future__ import annotations
 
-from .closure import weak_closure_ordering
-from .combinatorics import maximum_matching, vclp_half_integral
+from . import _lazy
 from .graph import Graph, induced_subgraph, twin_classes
 from .reduction import Decided, Instance, exhaust
+
+# only the rules read them: `solve im` compiles neither
+closure = _lazy("closure")
+combinatorics = _lazy("combinatorics")
 
 
 class ImInstance(Instance):
@@ -45,7 +48,7 @@ def dense_posterior_rule(inst: ImInstance) -> tuple[ImInstance, dict | None]:
     """Delete the first vertex (in ordering position) whose posterior
     neighborhood induces a subgraph with a large maximum matching."""
     g, k = inst.graph, inst.k
-    ordering = weak_closure_ordering(g)
+    ordering = closure.weak_closure_ordering(g)
     wc = ordering.weak_closure
     threshold = posterior_matching_threshold(wc, k)
     pos = ordering.position()
@@ -54,7 +57,7 @@ def dense_posterior_rule(inst: ImInstance) -> tuple[ImInstance, dict | None]:
         if len(post) < 2 * threshold:
             continue
         sub, _ = induced_subgraph(g, post)
-        if len(maximum_matching(sub)) >= threshold:
+        if len(combinatorics.maximum_matching(sub)) >= threshold:
             entry = {
                 "rule": "dense-posterior",
                 "removed": v,
@@ -78,8 +81,8 @@ def lp_threshold_rule(inst: ImInstance) -> tuple[ImInstance | Decided, dict | No
         return Decided(True, "empty matching suffices"), {"rule": "lp-threshold", "decided": "yes"}
     if 2 * g.n < lp_yes_threshold(1, k):
         return inst, None
-    wc = weak_closure_ordering(g).weak_closure
-    sol = vclp_half_integral(g)
+    wc = closure.weak_closure_ordering(g).weak_closure
+    sol = combinatorics.vclp_half_integral(g)
     doubled = sum(sol.value2)
     if doubled >= lp_yes_threshold(wc, k):
         entry = {

@@ -25,7 +25,6 @@ from bisect import bisect_right
 from operator import lt
 
 from .graph import Graph, Record
-from .reduction import Instance
 
 KINDS = ("graph", "capvc", "convc", "coc", "im", "ds", "is")
 
@@ -65,30 +64,6 @@ class InstanceFile(Record):
             raise ValueError("capacity vector length must equal vertex count")
         if self.parts is not None and len(self.parts) != self.graph.n:
             raise ValueError("part vector length must equal vertex count")
-
-
-class IsInstance(Instance):
-    """Independent set: `parts` gives each vertex's part index. One part asks
-    for k pairwise nonadjacent vertices; several ask for one vertex per part."""
-
-    file_kind = "is"
-    vertex_fields = ("parts",)
-    __slots__ = ("graph", "parts", "k")
-    graph: Graph
-    parts: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        if len(self.parts) != self.graph.n:
-            raise ValueError("part vector length must equal vertex count")
-        super().__post_init__()
-
-    def groups(self) -> list[tuple[int, ...]]:
-        """The vertices of each part, parts in index order."""
-        groups: dict[int, list[int]] = {}
-        for v, i in enumerate(self.parts):
-            groups.setdefault(i, []).append(v)
-        return [tuple(groups[i]) for i in sorted(groups)]
 
 
 def _column(line: str, i: int) -> int:
@@ -282,9 +257,10 @@ def write_instance(inst: InstanceFile) -> str:
 def to_problem(inst: InstanceFile):
     """The typed problem instance for a parsed file.
 
-    graph files map to the Graph itself and is files to an `IsInstance`;
-    every other kind maps to its problem module's class, and only that
-    module is imported.
+    graph files map to the Graph itself and is files to a
+    `reduction.IsInstance`; every other kind maps to its problem module's
+    class, and only that module is imported (a graph file imports none, so
+    `params` compiles no problem code).
     """
     g, k = inst.graph, inst.k
     if inst.kind == "graph":
@@ -306,6 +282,7 @@ def to_problem(inst: InstanceFile):
     if inst.kind == "ds":
         from .domset import DsInstance
         return DsInstance(g, k)
+    from .reduction import IsInstance
     return IsInstance(g, inst.parts or (0,) * g.n, k)
 
 
@@ -315,6 +292,7 @@ def from_problem(problem) -> InstanceFile:
     `file_kind`."""
     if isinstance(problem, Graph):
         return InstanceFile("graph", problem, 0)
+    from .reduction import Instance  # loaded already when problem is one
     if not isinstance(problem, Instance):
         raise TypeError(f"cannot serialize {type(problem).__name__}")
     return InstanceFile(problem.file_kind, problem.graph, problem.k, **problem.fields())

@@ -12,7 +12,7 @@ and is not dispatched, asserts its cover. Deterministic: candidate
 enumeration in lexicographic order by increasing size. Two searches serve
 most oracles. `_smallest_set` tries vertex sets smallest first (connected
 vertex cover, dominating set, component order connectivity).
-`graph.first_clique` finds the first k pairwise-compatible items over
+`cliquesearch.first_clique` finds the first k pairwise-compatible items over
 bitmasks: independent set over vertices, induced matching over edges,
 multicolored independent set over the vertices in part order, and exact set
 cover over the family. The capacitated vertex cover oracle branches on
@@ -25,15 +25,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .graph import (
-    Graph,
-    Record,
-    first_clique,
-    is_clique,
-    is_connected_set,
-    is_independent_set,
-    is_vertex_cover,
-)
+from .cliquesearch import first_clique
+from .graph import Graph, Record, is_clique, is_independent_set
 
 DEFAULT_VERTEX_CAP = 14
 
@@ -79,6 +72,32 @@ def _smallest_set(g: Graph, k: int, max_n: int | None, verts: Sequence[int],
             if accept(ss):
                 return OracleResult(True, ss, {"subsets": count})
     return OracleResult(False, stats={"subsets": count})
+
+
+# ---------------------------------------------------------------------------
+# cover and connectivity predicates
+
+def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
+    """Every vertex outside s has all its neighbors in s."""
+    ss = set(s)
+    return all(nb <= ss for v, nb in enumerate(g.adjacency()) if v not in ss)
+
+
+def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
+    """True iff G[s] is connected. The empty set counts as connected."""
+    vs = set(s)
+    if len(vs) <= 1:
+        return True
+    start = min(vs)
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in g.neighbors(v):
+            if w in vs and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vs
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +248,15 @@ def solve_is_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:
 # induced matching
 
 def is_induced_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
-    es = [tuple(sorted(e)) for e in edges]
-    verts: set[int] = set()
-    for u, v in es:
-        if not g.has_edge(u, v) or u in verts or v in verts:
+    """Every pair is an edge of g, no two share a vertex, and no vertex of
+    one has a neighbour in another: one pass over the witness vertices'
+    neighbourhoods, O(sum of their degrees)."""
+    owner: dict[int, int] = {}  # witness vertex -> index of its edge
+    for i, (u, v) in enumerate(edges):
+        if not g.has_edge(u, v) or u in owner or v in owner:
             return False
-        verts.update((u, v))
-    for (a, b), (c, d) in combinations(es, 2):
-        if g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, c) or g.has_edge(b, d):
-            return False
-    return True
+        owner[u] = owner[v] = i
+    return all(owner.get(w, i) == i for v, i in owner.items() for w in g.neighbors(v))
 
 
 def solve_im_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:

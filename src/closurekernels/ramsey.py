@@ -6,8 +6,8 @@ walks the closure ordering in blocks from the back, growing an independent
 set; inside a block it either extends the set with a non-neighbor, finds
 enough common neighbors of a small subset to report a clique, or swaps a
 subset for a fresh independent chunk found recursively. Small graphs fall
-back to exact subset search: `graph.first_clique`, the bitmask clique search
-the oracles share, returns the first subset in lexicographic order.
+back to exact subset search: `cliquesearch.first_clique`, the bitmask clique
+search the oracles share, returns the first subset in lexicographic order.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from itertools import combinations
 from math import comb
 
 from .closure import weak_closure_ordering
-from .graph import Graph, Record, first_clique, induced_subgraph, is_clique, is_independent_set
+from .cliquesearch import first_clique
+from .graph import Graph, Record, induced_subgraph, is_clique, is_independent_set
 
 # subset-search budget: combinations(n, size) above this are not enumerated
 _BRUTE_CAP = 250_000
@@ -88,7 +89,7 @@ def r_gamma_bound(a: int, b: int, gamma: int) -> int:
 def _brute_subset(g: Graph, size: int, clique: bool) -> tuple[int, ...] | None:
     """The first `size`-subset of the vertices in `combinations` order that
     is a clique (or, with clique False, an independent set), found by
-    `graph.first_clique`; None when there is none or when there are more
+    `cliquesearch.first_clique`; None when there is none or when there are more
     than `_BRUTE_CAP` subsets."""
     n = g.n
     if size > n or comb(n, size) > _BRUTE_CAP:

@@ -1,4 +1,6 @@
-"""The problem-instance base and the reduction driver shared by every kernel.
+"""The problem-instance base, the independent set instance (a problem with
+no kernel and so no module of its own), and the reduction driver shared by
+every kernel.
 
 A rule maps an instance to `(instance, entry)`: the entry is None when the
 rule does not fire, and otherwise the trace record of its one application.
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .graph import Record, delete_vertices
+from .graph import Graph, Record, delete_vertices
 
 
 class Instance(Record):
@@ -43,6 +45,30 @@ class Instance(Record):
         tuples."""
         return {name: tuple(sorted(value)) if isinstance(value, (set, frozenset)) else value
                 for name, value in zip(self.__slots__, self._values()) if name not in ("graph", "k")}
+
+
+class IsInstance(Instance):
+    """Independent set: `parts` gives each vertex's part index. One part asks
+    for k pairwise nonadjacent vertices; several ask for one vertex per part."""
+
+    file_kind = "is"
+    vertex_fields = ("parts",)
+    __slots__ = ("graph", "parts", "k")
+    graph: Graph
+    parts: tuple[int, ...]
+    k: int
+
+    def __post_init__(self):
+        if len(self.parts) != self.graph.n:
+            raise ValueError("part vector length must equal vertex count")
+        super().__post_init__()
+
+    def groups(self) -> list[tuple[int, ...]]:
+        """The vertices of each part, parts in index order."""
+        groups: dict[int, list[int]] = {}
+        for v, i in enumerate(self.parts):
+            groups.setdefault(i, []).append(v)
+        return [tuple(groups[i]) for i in sorted(groups)]
 
 
 class Decided(Record):

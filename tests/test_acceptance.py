@@ -4,17 +4,15 @@ also enforces its wall-clock budget."""
 
 import time
 
-from closurekernels.verify import (
-    suite_biclique_certificate,
-    suite_composition_patterns,
-    suite_determinism,
-    suite_kernel_size_bounds,
-    suite_parameter_engines,
-    suite_ramsey_guarantee,
-    suite_rule_safety,
-    suite_setcover_gadget,
-    suite_vclp_exactness,
-)
+from closurekernels.suites.biclique_certificate import suite_biclique_certificate
+from closurekernels.suites.composition_patterns import suite_composition_patterns
+from closurekernels.suites.determinism import suite_determinism
+from closurekernels.suites.kernel_size_bounds import suite_kernel_size_bounds
+from closurekernels.suites.parameter_engines import suite_parameter_engines
+from closurekernels.suites.ramsey_guarantee import suite_ramsey_guarantee
+from closurekernels.suites.rule_safety import suite_rule_safety
+from closurekernels.suites.setcover_gadget import suite_setcover_gadget
+from closurekernels.suites.vclp_exactness import suite_vclp_exactness
 
 
 def _finish(result, started, budget_s, minimum):

@@ -2,18 +2,14 @@ import random
 
 import pytest
 
-from closurekernels.capvc import (
-    CapVcInstance,
-    kernelize_capvc,
-    twin_classes,
-    twin_crown_rule,
-)
+from closurekernels.capvc import CapVcInstance, kernelize_capvc, twin_classes, twin_crown_rule
 from closurekernels.closure import (
-    neighborhood_class_bound,
     count_maximal_cliques,
+    neighborhood_class_bound,
     weak_closure_ordering,
 )
-from closurekernels.graph import Graph, complete_bipartite, star_graph
+from closurekernels.generators import complete_bipartite, star_graph
+from closurekernels.graph import Graph
 from closurekernels.oracles import solve_capvc_exact
 
 

@@ -22,7 +22,9 @@ from closurekernels.oracles import (
 from closurekernels import oracles as oracles_mod
 from closurekernels import verify as verify_mod
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def run(capsys, *argv):
@@ -348,7 +350,7 @@ class TestVerifyCommand:
         child.write_text("#!/bin/sh\necho 'Traceback (most recent call last):' >&2\n"
                          "echo 'ModuleNotFoundError: boom' >&2\nexit 1\n")
         child.chmod(0o755)
-        monkeypatch.setattr(verify_mod.sys, "executable", str(child))
+        monkeypatch.setattr(sys, "executable", str(child))
         code, out, err = run(capsys, "verify", "--suite", "determinism",
                              "--dump-dir", str(tmp_path / "dumps"))
         assert code == 1 and err == ""
@@ -650,7 +652,7 @@ class TestEntryPoints:
         def boom(args):
             raise RuntimeError("broken\ninvariant")
 
-        monkeypatch.setattr("closurekernels.cli.cmd_params", boom)
+        monkeypatch.setattr("closurekernels.commands.params.cmd_params", boom)
         code, out, err = run(capsys, "params", write(tmp_path, "a.ck", C4_GRAPH))
         assert code == 4 and out == ""
         assert err == "internal error: RuntimeError: broken invariant\n"
@@ -661,7 +663,7 @@ class TestEntryPoints:
         def boom(args):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr("closurekernels.cli.cmd_params", boom)
+        monkeypatch.setattr("closurekernels.commands.params.cmd_params", boom)
         code, out, err = run(capsys, "params", write(tmp_path, "a.ck", C4_GRAPH))
         assert (code, out) == (4, "")
         assert err == "internal error: OSError: [Errno 28] No space left on device\n"
@@ -730,10 +732,11 @@ class TestProcessExit:
             raise RuntimeError("broken\ninvariant")
 
         src = write(tmp_path, "a.ck", C4_GRAPH)
-        monkeypatch.setattr("closurekernels.cli.cmd_params", boom)
+        monkeypatch.setattr("closurekernels.commands.params.cmd_params", boom)
         want = run(capsys, "params", src)
         assert want[0] == 4
-        patch = "def boom(args):\n    raise RuntimeError('broken\\ninvariant')\ncli.cmd_params = boom"
+        patch = ("def boom(args):\n    raise RuntimeError('broken\\ninvariant')\n"
+                 "from closurekernels.commands import params\nparams.cmd_params = boom")
         proc = subprocess.run([sys.executable, "-c", AS_MAIN.format(patch=patch), "params", src],
                               capture_output=True, text=True, env=module_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == want
@@ -806,9 +809,32 @@ def run_fresh(code: str) -> str:
     return proc.stdout
 
 
+C4_COC = "p coc 4 4 1 1\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
+C4_IS = "p is 4 4 2\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n"
+
+# prints the package modules whose code ran, then whether json, subprocess
+# and dataclasses were imported, after one CLI call
+LOADED = """
+import sys
+from closurekernels import cli
+assert cli.main({argv!r}) == 0
+print(*sorted(name[len("closurekernels."):] for name, module in list(sys.modules.items())
+              if name.startswith("closurekernels.") and type(module).__name__ != "_LazyModule"))
+print(*(name in sys.modules for name in ("json", "subprocess", "dataclasses")))
+"""
+
+
+def loaded_modules(argv: list[str]) -> tuple[set[str], list[str]]:
+    """The package modules one CLI call in a fresh interpreter runs, and
+    whether it imports json, subprocess and dataclasses."""
+    *_, modules, stdlib = run_fresh(LOADED.format(argv=argv)).splitlines()
+    return set(modules.split()), stdlib.split()
+
+
 class TestLazyImports:
-    """params and kernel never run the code of verify, oracles or generators,
-    and `verify --suite X` runs only the modules that X calls."""
+    """Each route runs exactly the package modules it needs: the dispatcher,
+    its command's module and what that command calls. Modules it never
+    calls stay registered but unloaded, so their code is never compiled."""
 
     def test_kernel_and_params_leave_heavy_modules_unloaded(self, tmp_path):
         src = write(tmp_path, "a.ck", C4_CONVC)
@@ -826,63 +852,60 @@ print("subprocess", "subprocess" in sys.modules)
             "verify _LazyModule", "oracles _LazyModule", "generators _LazyModule",
             "ramsey False", "subprocess False"]
 
-    # route: (input file, command before its path, modules that must not run)
+    # route: (input file, command before its path, the modules it runs
+    # besides cli, commands and the command's module)
     ROUTES = {
-        "params": (C4_GRAPH, ["params"],
-                   ("capvc", "convc", "domset", "induced_matching", "combinatorics",
-                    "commands")),
-        "kernel-im": (C4_IM, ["kernel", "im"], ("capvc", "convc", "domset", "commands")),
-        "kernel-convc": (C4_CONVC, ["kernel", "convc"],
-                         ("capvc", "domset", "induced_matching", "combinatorics", "commands")),
+        "params": (C4_GRAPH, ["params"], {"closure", "graph", "instance_io"}),
         "kernel-capvc": (C4_CAPVC, ["kernel", "capvc"],
-                         ("convc", "domset", "induced_matching", "combinatorics", "commands")),
+                         {"capvc", "closure", "graph", "instance_io", "reduction"}),
+        "kernel-convc": (C4_CONVC, ["kernel", "convc"],
+                         {"closure", "convc", "graph", "instance_io", "reduction"}),
+        "kernel-im": (C4_IM, ["kernel", "im"],
+                      {"closure", "graph", "induced_matching", "instance_io", "reduction"}),
         "kernel-ds": (SPLIT_DS, ["kernel", "ds"],
-                      ("capvc", "convc", "induced_matching", "commands")),
-        "solve-im": (C4_IM, ["solve", "im"], ("verify", "ramsey")),
+                      {"closure", "combinatorics", "domset", "graph", "instance_io",
+                       "reduction"}),
+        # solve reads only the instance class of its problem's module: no
+        # closure, and no combinatorics for im and ds
+        "solve-capvc": (C4_CAPVC, ["solve", "capvc"], {"capvc", "cliquesearch", "graph",
+                                                       "instance_io", "oracles", "reduction"}),
+        "solve-convc": (C4_CONVC, ["solve", "convc"], {"cliquesearch", "convc", "graph",
+                                                       "instance_io", "oracles", "reduction"}),
+        "solve-coc": (C4_COC, ["solve", "coc"], {"cliquesearch", "convc", "graph",
+                                                 "instance_io", "oracles", "reduction"}),
+        "solve-im": (C4_IM, ["solve", "im"], {"cliquesearch", "graph", "induced_matching",
+                                              "instance_io", "oracles", "reduction"}),
+        "solve-ds": (SPLIT_DS, ["solve", "ds"], {"cliquesearch", "domset", "graph",
+                                                 "instance_io", "oracles", "reduction"}),
+        "solve-is": (C4_IS, ["solve", "is"], {"cliquesearch", "graph", "instance_io",
+                                              "oracles", "reduction"}),
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_each_route_loads_only_its_modules(self, tmp_path, route):
-        """Each call in a fresh interpreter; verify, generators, ramsey,
-        subprocess and dataclasses never load on these routes, and json
-        only on kernel, which writes the trace."""
-        text, command, unloaded = self.ROUTES[route]
-        argv = [*command, write(tmp_path, "a.ck", text)]
-        out = run_fresh(f"""
-import sys
-from closurekernels import cli
-assert cli.main({argv!r}) == 0
-for name in ("capvc", "convc", "domset", "induced_matching", "combinatorics",
-             "oracles", "verify", "generators", "ramsey", "commands"):
-    module = sys.modules.get("closurekernels." + name)
-    print(name, "absent" if module is None else type(module).__name__)
-print("dataclasses", "dataclasses" in sys.modules)
-print("subprocess", "subprocess" in sys.modules)
-print("json", "json" in sys.modules)
-""")
-        state = dict(line.split() for line in out.splitlines()[-13:])
-        for name in unloaded:
-            assert state[name] in ("absent", "_LazyModule"), (name, state)
-        assert state["dataclasses"] == "False" and state["subprocess"] == "False"
-        assert state["json"] == str(command[0] == "kernel")
-        assert state["verify"] == "_LazyModule" and state["ramsey"] == "absent"
-        assert state["generators"] == "_LazyModule"
+        """Each call in a fresh interpreter; json loads only on kernel, which
+        writes the trace, and subprocess and dataclasses never."""
+        text, command, modules = self.ROUTES[route]
+        got, stdlib = loaded_modules([*command, write(tmp_path, "a.ck", text)])
+        assert got == {"cli", "commands", f"commands.{command[0]}"} | modules
+        assert stdlib == [str(command[0] == "kernel"), "False", "False"]
 
-    # suite: modules that must not run on `verify --suite` with it alone
+    # suite: the modules `verify --suite` with it alone runs besides cli,
+    # commands, commands.verify, verify, graph, suites and its own module;
+    # instance_io only where determinism writes instance files
     SUITE_ROUTES = {
-        "parameter-engines": ("capvc", "convc", "domset", "induced_matching", "combinatorics",
-                              "oracles", "generators", "ramsey"),
-        "rule-safety": ("generators", "ramsey"),
-        "setcover-gadget": ("convc", "domset", "induced_matching", "combinatorics", "ramsey"),
-        "composition-patterns": ("capvc", "convc", "domset", "induced_matching",
-                                 "combinatorics", "ramsey"),
-        "kernel-size-bounds": ("induced_matching", "generators", "ramsey"),
-        "biclique-certificate": ("capvc", "convc", "induced_matching", "oracles", "ramsey"),
-        "ramsey-guarantee": ("capvc", "convc", "domset", "induced_matching", "combinatorics",
-                             "oracles"),
-        "vclp-exactness": ("capvc", "convc", "domset", "induced_matching", "oracles", "ramsey"),
-        "determinism": ("convc", "domset", "induced_matching", "combinatorics", "oracles",
-                        "ramsey"),
+        "parameter-engines": {"closure"},
+        "rule-safety": {"capvc", "cliquesearch", "closure", "combinatorics", "convc", "domset",
+                        "induced_matching", "oracles", "reduction"},
+        "setcover-gadget": {"capvc", "cliquesearch", "closure", "generators", "oracles",
+                            "reduction"},
+        "composition-patterns": {"cliquesearch", "generators", "oracles", "reduction"},
+        "kernel-size-bounds": {"capvc", "cliquesearch", "closure", "combinatorics", "convc",
+                               "domset", "oracles", "reduction"},
+        "biclique-certificate": {"closure", "domset", "generators", "reduction"},
+        "ramsey-guarantee": {"cliquesearch", "closure", "generators", "ramsey"},
+        "vclp-exactness": {"combinatorics", "generators"},
+        "determinism": {"capvc", "closure", "generators", "instance_io", "reduction"},
     }
 
     def test_suite_routes_cover_every_suite(self):
@@ -892,21 +915,28 @@ print("json", "json" in sys.modules)
     def test_each_suite_loads_only_its_modules(self, suite):
         """Each suite alone in a fresh interpreter, at two trials; json never
         loads, and subprocess only for determinism, which starts children."""
+        got, stdlib = loaded_modules(["verify", "--suite", suite, "--trials", "2"])
+        base = {"cli", "commands", "commands.verify", "verify", "graph", "suites",
+                "suites." + suite.replace("-", "_")}
+        assert got == base | self.SUITE_ROUTES[suite]
+        assert stdlib == ["False", str(suite == "determinism"), "False"]
+
+    def test_a_failure_without_counterexample_leaves_instance_io_unloaded(self, tmp_path):
+        # on a verify route only writing a counterexample reaches instance_io
         out = run_fresh(f"""
 import sys
-from closurekernels import cli
-assert cli.main(["verify", "--suite", {suite!r}, "--trials", "2"]) == 0
-for name in {self.SUITE_ROUTES[suite]!r}:
-    module = sys.modules.get("closurekernels." + name)
-    print(name, "absent" if module is None else type(module).__name__)
-print("json", "json" in sys.modules)
-print("subprocess", "subprocess" in sys.modules)
+from closurekernels import cli, verify
+
+def failing(trials=None, seed=0):
+    result = verify.SuiteResult("stub")
+    result.fail("synthetic")
+    return result
+
+verify.SUITES["stub"] = failing
+assert cli.main(["verify", "--suite", "stub", "--dump-dir", {str(tmp_path)!r}]) == 1
+print(type(sys.modules["closurekernels.instance_io"]).__name__)
 """)
-        state = dict(line.split() for line in out.splitlines()[1:])
-        for name in self.SUITE_ROUTES[suite]:
-            assert state[name] in ("absent", "_LazyModule"), (name, state)
-        assert state["json"] == "False"
-        assert state["subprocess"] == str(suite == "determinism")
+        assert out.splitlines()[-2:] == ["  synthetic", "_LazyModule"]
 
     def test_generate_leaves_capvc_unloaded(self, tmp_path):
         out = run_fresh(f"""
@@ -917,12 +947,42 @@ print(type(sys.modules["closurekernels.capvc"]).__name__)
 """)
         assert out.splitlines()[-1] == "_LazyModule"
 
+    @pytest.mark.parametrize("argv, modules", [
+        (["generate", "split"], {"generators", "graph", "instance_io"}),
+        (["generate", "capvc-hard"],
+         {"capvc", "closure", "generators", "graph", "instance_io", "reduction"}),
+        (["generate", "split", "--kind", "ds"],
+         {"domset", "generators", "graph", "instance_io", "reduction"}),
+    ], ids=["split", "capvc-hard", "kind-ds"])
+    def test_generate_runs_only_its_modules(self, tmp_path, argv, modules):
+        got, stdlib = loaded_modules([*argv, "--out", str(tmp_path / "g.ck")])
+        assert got == {"cli", "commands", "commands.generate"} | modules
+        assert stdlib == ["False", "False", "False"]
+
+    def test_tracer_layers_resolve_after_importing_cli(self):
+        # what perfbench/tracing.py's Tracer.install relies on: importing cli
+        # alone puts every module it wraps in sys.modules, and each named
+        # function is defined there
+        out = run_fresh(f"""
+import sys
+sys.path.insert(0, {PERFBENCH!r})
+import closurekernels.cli
+import tracing
+for module, func, _span in tracing.LAYERS:
+    fn = getattr(sys.modules["closurekernels." + module], func)
+    assert callable(fn) and fn.__module__ == "closurekernels." + module, (module, func)
+print(len(tracing.LAYERS))
+""")
+        assert int(out) >= 40
+
     def test_submodule_import_after_cli_is_usable(self):
         out = run_fresh("import closurekernels.cli\nimport closurekernels.verify\n"
                         "print(closurekernels.verify.run_suite.__name__)")
         assert out == "run_suite\n"
 
     def test_cli_reuses_a_module_imported_before_it(self):
-        out = run_fresh("from closurekernels import verify\nfrom closurekernels import cli\n"
-                        "print(cli.verify_mod is verify, type(verify).__name__)")
+        out = run_fresh("import sys\nfrom closurekernels import verify\n"
+                        "from closurekernels import cli\n"
+                        "print(sys.modules['closurekernels.verify'] is verify,"
+                        " type(verify).__name__)")
         assert out == "True module\n"

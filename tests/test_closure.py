@@ -13,27 +13,28 @@ from closurekernels.closure import (
     ClosureOrdering,
     closure_number,
     degeneracy,
-    exhaustive_weak_closure,
     moon_moser_bound,
     neighborhood_class_bound,
-    vertex_closure,
-    verify_closure_ordering,
     weak_closure_ordering,
 )
-from closurekernels.generators import gen_random_split
-from closurekernels.graph import (
-    Graph,
+from closurekernels.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    last_graph_memo,
+    gen_random_split,
     path_graph,
     star_graph,
 )
+from closurekernels.graph import Graph, last_graph_memo
 from closurekernels.induced_matching import ImInstance, kernelize_im
 from closurekernels.instance_io import InstanceFile, write_instance
 from closurekernels.oracles import solve_is_exact
 from closurekernels.reduction import Decided
+from closurekernels.suites.parameter_engines import (
+    exhaustive_weak_closure,
+    verify_closure_ordering,
+    vertex_closure,
+)
 
 
 def random_graph(n, p, rng):

@@ -14,14 +14,14 @@ from closurekernels.combinatorics import (
     vclp_half_integral,
     vclp_is_feasible,
 )
-from closurekernels.graph import (
-    Graph,
+from closurekernels.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
     star_graph,
 )
+from closurekernels.graph import Graph
 
 
 def random_graph(n, p, rng):

@@ -23,16 +23,15 @@ from closurekernels.convc import (
     trivial_rules,
     twinset_rule,
 )
-from closurekernels.graph import (
-    Graph,
+from closurekernels.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    is_connected_set,
     path_graph,
     star_graph,
 )
-from closurekernels.oracles import solve_coc_exact, solve_convc_exact
+from closurekernels.graph import Graph
+from closurekernels.oracles import is_connected_set, solve_coc_exact, solve_convc_exact
 
 
 def random_graph(rng, n, p):

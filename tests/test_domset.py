@@ -5,12 +5,7 @@ from collections import Counter
 
 import pytest
 
-from closurekernels.closure import (
-    ClosureEngine,
-    ClosureOrdering,
-    _suffix_closures,
-    weak_closure_ordering,
-)
+from closurekernels.closure import ClosureEngine, ClosureOrdering, weak_closure_ordering
 from closurekernels.domset import (
     DsInstance,
     GoodOrderingError,
@@ -27,19 +22,17 @@ from closurekernels.domset import (
     sunflower_rule,
     trimmed_neighborhoods,
 )
-from closurekernels.graph import (
-    Graph,
-    clique_number,
+from closurekernels.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    is_clique,
-    is_independent_set,
     path_graph,
     star_graph,
 )
+from closurekernels.graph import Graph, clique_number, is_clique, is_independent_set
 from closurekernels.oracles import is_dominating_set, solve_ds_exact
 from closurekernels.reduction import Decided
+from closurekernels.suites.parameter_engines import _suffix_closures
 
 
 def random_split_graph(rng, max_n=10):

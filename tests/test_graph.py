@@ -7,29 +7,29 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from closurekernels.graph import (
-    Graph,
+from closurekernels.cliquesearch import first_clique
+from closurekernels.domset import contains_biclique
+from closurekernels.generators import (
     complete_bipartite,
     complete_graph,
-    connected_components,
-    contains_biclique,
     cycle_graph,
-    delete_vertices,
-    first_clique,
-    induced_subgraph,
-    is_clique,
-    is_connected_set,
-    is_independent_set,
-    is_vertex_cover,
-    maximal_cliques,
-    clique_number,
     path_graph,
     star_graph,
+)
+from closurekernels.graph import (
+    Graph,
+    clique_number,
+    connected_components,
+    delete_vertices,
+    induced_subgraph,
+    is_clique,
+    is_independent_set,
+    maximal_cliques,
 )
 from closurekernels.convc import CocInstance, ConVcInstance
 from closurekernels.induced_matching import ImInstance
 from closurekernels.instance_io import InstanceFile
-from closurekernels.oracles import OracleResult
+from closurekernels.oracles import OracleResult, is_connected_set, is_vertex_cover
 
 
 def test_build_and_counts():
@@ -195,6 +195,54 @@ def test_maximal_cliques_match_the_recursion():
         p = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
         assert maximal_cliques(g) == recursive_maximal_cliques(g)
+
+
+def set_maximal_cliques(g):
+    """`maximal_cliques` as it was before its pivot keys were popcounts:
+    the same stack search on vertex sets, one set intersection per key."""
+    if g.n == 0:
+        return [()]
+    out = []
+    adj = g.adjacency()
+
+    def node(r, p, x):
+        pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
+        return r, p, x, iter(sorted(p - adj[pivot]))
+
+    stack = [node((), set(g.vertices()), set())]
+    while stack:
+        r, p, x, branches = stack[-1]
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        child_p, child_x = p & adj[v], x & adj[v]
+        p.remove(v)
+        x.add(v)
+        if child_p:
+            stack.append(node(r + (v,), child_p, child_x))
+        elif not child_x:
+            out.append(tuple(sorted(r + (v,))))
+    return sorted(out)
+
+
+def test_maximal_cliques_match_the_set_search():
+    rng = random.Random(67)
+    graphs = [complete_graph(n) for n in (1, 2, 5, 40)]
+    graphs += [Graph(n) for n in (1, 7)]
+    for _ in range(800):
+        n = rng.randint(0, 18)
+        p = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for _ in range(40):
+        # a few cliques glued at shared vertices, plus sparse noise
+        n = rng.randint(10, 40)
+        edges = {e for e in combinations(range(n), 2) if rng.random() < 0.05}
+        for _ in range(rng.randint(1, 4)):
+            edges.update(combinations(sorted(rng.sample(range(n), rng.randint(3, 9))), 2))
+        graphs.append(Graph(n, edges))
+    for g in graphs:
+        assert maximal_cliques(g) == set_maximal_cliques(g), g.edges()
 
 
 def test_maximal_cliques_on_a_deep_clique():

@@ -5,13 +5,8 @@ import pytest
 from closurekernels import induced_matching
 from closurekernels.closure import weak_closure_ordering
 from closurekernels.combinatorics import vclp_half_integral
-from closurekernels.graph import (
-    Graph,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-)
+from closurekernels.generators import complete_bipartite, complete_graph, cycle_graph, path_graph
+from closurekernels.graph import Graph
 from closurekernels.induced_matching import (
     ImInstance,
     dense_posterior_rule,

@@ -11,9 +11,8 @@ from closurekernels.domset import DsInstance
 from closurekernels.graph import Graph
 from closurekernels.induced_matching import ImInstance
 from closurekernels.instance_io import (
-    KINDS,
     InstanceFile,
-    IsInstance,
+    KINDS,
     ParseError,
     _column,
     from_problem,
@@ -21,6 +20,7 @@ from closurekernels.instance_io import (
     to_problem,
     write_instance,
 )
+from closurekernels.reduction import IsInstance
 
 
 SAMPLE = """c a four cycle with a budget

@@ -1,5 +1,6 @@
 """Oracle sanity on hand-computed micro-instances plus cross-validation."""
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -7,28 +8,27 @@ import pytest
 from closurekernels.capvc import CapVcInstance
 from closurekernels.convc import AnnotatedConVcInstance, CocInstance, ConVcInstance
 from closurekernels.domset import DsInstance
-from closurekernels.generators import gen_capvc_lowerbound
-from closurekernels.graph import (
-    Graph,
+from closurekernels.generators import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    is_connected_set,
-    is_vertex_cover,
+    gen_capvc_lowerbound,
     path_graph,
     star_graph,
 )
+from closurekernels.graph import Graph
 from closurekernels.induced_matching import ImInstance
-from closurekernels.instance_io import IsInstance
 from closurekernels import oracles as oracles_mod
 from closurekernels.oracles import (
     OracleCapExceeded,
     OracleResult,
     capvc_assignment_feasible,
     coc_components_ok,
+    is_connected_set,
     is_dominating_set,
     is_induced_matching,
     is_solution,
+    is_vertex_cover,
     solve_capvc_exact,
     solve_coc_exact,
     solve_convc_exact,
@@ -39,6 +39,7 @@ from closurekernels.oracles import (
     solve_is_exact,
     solve_multicolored_is_exact,
 )
+from closurekernels.reduction import IsInstance
 
 
 def random_graph(n, p, rng):
@@ -165,6 +166,54 @@ def test_is_induced_matching_validator():
     assert is_induced_matching(g, [])
 
 
+
+def pairwise_is_induced_matching(g, edges):
+    """`is_induced_matching` as it was before it read neighbourhoods: every
+    pair of witness edges, four adjacency tests each."""
+    es = [tuple(sorted(e)) for e in edges]
+    verts = set()
+    for u, v in es:
+        if not g.has_edge(u, v) or u in verts or v in verts:
+            return False
+        verts.update((u, v))
+    return not any(g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, c) or g.has_edge(b, d)
+                   for (a, b), (c, d) in combinations(es, 2))
+
+
+def test_is_induced_matching_matches_the_pairwise_check():
+    rng = random.Random(73)
+    verdicts = set()
+    for _ in range(3000):
+        n = rng.randint(0, 12)
+        p = rng.choice([0.1, 0.25, 0.5])
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        edges = g.edges()
+        # a subset of the edges (a matching or not), sometimes with a
+        # non-edge, a repeated edge or a reversed pair mixed in
+        chosen = rng.sample(edges, rng.randint(0, min(4, len(edges))))
+        extra = rng.random()
+        if n >= 2 and extra < 0.2:
+            chosen.append(tuple(rng.sample(range(n), 2)))
+        elif chosen and extra < 0.3:
+            chosen.append(chosen[0])
+        elif chosen and extra < 0.4:
+            chosen[0] = chosen[0][::-1]
+        want = pairwise_is_induced_matching(g, chosen)
+        assert is_induced_matching(g, chosen) == want, (g.edges(), chosen)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_is_induced_matching_is_linear_on_a_perfect_matching():
+    # 1,100 disjoint edges: the pairwise check made 604,450 pair tests
+    g = Graph(2200, [(2 * i, 2 * i + 1) for i in range(1100)])
+    witness = frozenset(g.edges())
+    start = time.perf_counter()
+    assert is_induced_matching(g, witness)
+    assert time.perf_counter() - start < 0.05
+    # one edge joining two of them: the witness is a matching, not induced
+    assert not is_induced_matching(Graph(2200, g.edges() + [(1, 2)]), witness)
+
 # --- dominating set ----------------------------------------------------------
 
 def test_ds_oracle():
@@ -276,7 +325,7 @@ def test_witnesses_validate():
 
 # --- the shared searches against the oracles they replaced -------------------
 # Written as the oracles were before `_smallest_set` and the clique search
-# (`_compatible_set`, now `graph.first_clique`): one loop or one recursion
+# (`_compatible_set`, now `cliquesearch.first_clique`): one loop or one recursion
 # per problem. Each rewritten oracle must return the same answer, witness
 # and work counters; multicolored independent set and exact set cover
 # renamed their counter from `combinations` to `nodes` and now count search

@@ -6,15 +6,11 @@ from math import comb
 import pytest
 
 from closurekernels.closure import weak_closure_ordering
-from closurekernels.graph import (
-    Graph,
-    complete_graph,
-    is_clique,
-    is_independent_set,
-)
+from closurekernels.generators import complete_graph
+from closurekernels.graph import Graph, is_clique, is_independent_set
 from closurekernels.ramsey import (
-    _BRUTE_CAP,
     RamseyWitness,
+    _BRUTE_CAP,
     _brute_subset,
     clique_or_independent_set,
     r_gamma_bound,

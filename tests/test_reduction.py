@@ -17,17 +17,11 @@ from closurekernels.convc import (
     kernelize_convc_c,
 )
 from closurekernels.domset import DsInstance, kernelize_ds_split
-from closurekernels.generators import gen_random_split
-from closurekernels.graph import Graph, path_graph
+from closurekernels.generators import gen_random_split, path_graph
+from closurekernels.graph import Graph
 from closurekernels.induced_matching import ImInstance, kernelize_im
-from closurekernels.instance_io import (
-    IsInstance,
-    from_problem,
-    parse_instance,
-    to_problem,
-    write_instance,
-)
-from closurekernels.reduction import Decided, exhaust
+from closurekernels.instance_io import from_problem, parse_instance, to_problem, write_instance
+from closurekernels.reduction import Decided, IsInstance, exhaust
 
 
 def _halve_even(x):

@@ -1,31 +1,31 @@
 """The cross-checking suites themselves: green on the real rules, red when a
 deliberately unsound rule is injected."""
 
+import importlib
 import inspect
 import subprocess
+import sys
 import time
 
 import pytest
 
-from closurekernels import verify as verify_mod
+from closurekernels import oracles as oracles_mod
+from closurekernels.suites import determinism, rule_safety
 from closurekernels.convc import ConVcInstance
 from closurekernels.graph import delete_vertices
-from closurekernels.instance_io import IsInstance, parse_instance, to_problem, write_instance
+from closurekernels.instance_io import parse_instance, to_problem, write_instance
 from closurekernels.oracles import OracleResult, solve_is_exact
-from closurekernels.verify import (
-    SUITES,
-    SuiteResult,
-    run_suite,
-    suite_biclique_certificate,
-    suite_composition_patterns,
-    suite_determinism,
-    suite_kernel_size_bounds,
-    suite_parameter_engines,
-    suite_ramsey_guarantee,
-    suite_rule_safety,
-    suite_setcover_gadget,
-    suite_vclp_exactness,
-)
+from closurekernels.reduction import IsInstance
+from closurekernels.suites.biclique_certificate import suite_biclique_certificate
+from closurekernels.suites.composition_patterns import suite_composition_patterns
+from closurekernels.suites.determinism import suite_determinism
+from closurekernels.suites.kernel_size_bounds import suite_kernel_size_bounds
+from closurekernels.suites.parameter_engines import suite_parameter_engines
+from closurekernels.suites.ramsey_guarantee import suite_ramsey_guarantee
+from closurekernels.suites.rule_safety import suite_rule_safety
+from closurekernels.suites.setcover_gadget import suite_setcover_gadget
+from closurekernels.suites.vclp_exactness import suite_vclp_exactness
+from closurekernels.verify import SUITES, SuiteResult, run_suite
 
 
 def test_parameter_engines_passes():
@@ -37,11 +37,11 @@ def test_parameter_engines_passes():
 def test_rule_safety_passes_and_covers_every_rule():
     r = suite_rule_safety(trials=60, seed=11)
     assert r.passed
-    assert r.checked == 60 * len(verify_mod._rule_cases())
+    assert r.checked == 60 * len(rule_safety._rule_cases())
 
 
 def test_rule_case_names_are_unique():
-    names = [name for name, *_ in verify_mod._rule_cases()]
+    names = [name for name, *_ in rule_safety._rule_cases()]
     assert len(names) == len(set(names))
     assert len(names) == 14
 
@@ -58,7 +58,7 @@ def test_composition_patterns_passes():
 
 def test_composition_counterexample_is_the_host_with_its_budget(monkeypatch):
     # an oracle that answers no everywhere is wrong on every yes pattern
-    monkeypatch.setattr(verify_mod.oracles, "solve_is_exact",
+    monkeypatch.setattr(oracles_mod, "solve_is_exact",
                         lambda g, k, **_: OracleResult(False))
     r = suite_composition_patterns()
     assert not r.passed and r.artifacts
@@ -130,7 +130,7 @@ def test_determinism_failing_child_kills_its_sibling(tmp_path, monkeypatch):
             started.append(self)
 
     monkeypatch.setenv("MARKS", str(tmp_path))
-    monkeypatch.setattr(verify_mod.sys, "executable", str(fake))
+    monkeypatch.setattr(sys, "executable", str(fake))
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     t0 = time.monotonic()
     try:
@@ -144,6 +144,44 @@ def test_determinism_failing_child_kills_its_sibling(tmp_path, monkeypatch):
     assert len(started) == 2 and time.monotonic() - t0 < 20
     assert not r.passed
     assert r.failures == ["kernel command exited with code 3: RuntimeError: boom"]
+
+
+def test_determinism_starts_the_children_before_the_generator_checks(monkeypatch):
+    started, seen = [], []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    checks = determinism._generator_checks
+
+    def recorded_checks(rec, seed):
+        seen.append(len(started))
+        checks(rec, seed)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(determinism, "_generator_checks", recorded_checks)
+    r = suite_determinism(seed=11)
+    assert r.passed and r.checked == 7
+    assert seen == [2] and all(p.returncode == 0 for p in started)
+
+
+def test_rule_safety_answers_each_distinct_instance_once(monkeypatch):
+    calls = []
+    solve = oracles_mod.solve_exact
+
+    def counted(inst, **kwargs):
+        calls.append(inst)
+        return solve(inst, **kwargs)
+
+    monkeypatch.setattr(oracles_mod, "solve_exact", counted)
+    r = suite_rule_safety(trials=50, seed=0)
+    assert r.passed and r.checked == 700
+    # a step that did not fire, and a pipeline that ended on the input or on
+    # the stepped instance, reuse that answer: asking the oracle about every
+    # instance that is not a decision made 1,910 calls
+    assert len(calls) == 1232
 
 
 def _unsound_rule(inst):
@@ -194,6 +232,14 @@ def test_run_all_covers_registry():
 def test_every_suite_takes_trials_and_seed():
     for name, fn in SUITES.items():
         assert list(inspect.signature(fn).parameters)[:2] == ["trials", "seed"], name
+        # and so does the suite function behind the registry entry, each
+        # with an integer default trial count and seed 0
+        module = name.replace("-", "_")
+        suite = getattr(importlib.import_module(f"closurekernels.suites.{module}"),
+                        f"suite_{module}")
+        trials, seed = list(inspect.signature(suite).parameters.values())[:2]
+        assert (trials.name, seed.name, seed.default) == ("trials", "seed", 0), name
+        assert isinstance(trials.default, int), name
     assert suite_composition_patterns(trials=3, seed=9).checked == 16
 
 
