@@ -18,8 +18,11 @@ dispatcher: it parses the command line, maps errors to exit codes and holds
 the helpers that several commands share (instance reading, output writing,
 the kind check). Each subcommand's body and arguments live in its own
 module, `commands.<name>`, which is imported only when the command line
-names that command and which imports what the command runs; the parser
-gets only the named command's arguments. The package's other modules are
+starts with that command and which imports what the command runs. `main`
+parses the rest of the command line with that command's own parser in
+argparse's intermixed mode, so options may come before, between or after
+the operands; the top-level parser, which lists the commands, only handles
+`-h` and a missing or unknown command. The package's other modules are
 registered lazily (`closurekernels._lazy`) and run their code on first
 attribute access, so this module compiles no `closure`, `graph` or
 `instance_io` code of its own. README lists the modules each route runs,
@@ -156,18 +159,22 @@ COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, but only `command`'s arguments:
-    the others are never parsed, and only its module is imported."""
+def _build_parser(command: str | None) -> tuple[argparse.ArgumentParser,
+                                                argparse.ArgumentParser | None]:
+    """The top-level parser, which lists every subcommand, and `command`'s
+    own parser (None without a command). Only `command` gets its arguments,
+    and only its module is imported."""
     top = argparse.ArgumentParser(
         prog="closurekernels",
         description="Kernelization toolkit for weakly closed graphs.")
     sub = top.add_subparsers(dest="command", required=True)
+    own = None
     for name, help_text in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == command:
             importlib.import_module(f"{__package__}.commands.{name}").arguments(p)
-    return top
+            own = p
+    return top, own
 
 
 def _stdout_lost(exc: OSError) -> int:
@@ -184,16 +191,16 @@ def _stdout_lost(exc: OSError) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the command is the first operand: the top level has no option but -h
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
+    top, parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args, extra = parser.parse_known_args(argv)
-        # a command that takes operands after its options (kernel) reads
-        # what argparse left over
-        if hasattr(args, "take_extra"):
-            args.take_extra(args, extra)
-        elif extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if parser is None:
+            # -h, or a missing or unknown command: the top level prints its
+            # help or its error and exits (it returns only where argparse
+            # takes a command after `--`)
+            top.parse_args(argv)
+            top.error("the command must be the first argument")
+        # intermixed: operands may sit before, between and after options
+        args = parser.parse_intermixed_args(argv[1:])
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -21,7 +21,7 @@ def cmd_generate(args) -> int:
     elif family == "weakly-closed":
         out = from_problem(generators.gen_random_weakly_closed(args.n, args.gamma, args.seed))
     elif family == "k-ab":
-        out = from_problem(generators.gen_k_ab(args.a, args.b))
+        out = from_problem(generators.complete_bipartite(args.a, args.b))
     elif family == "capvc-hard":
         fam = _random_triples(3 * args.k, args.sets, args.seed)
         out = from_problem(generators.gen_capvc_lowerbound(3 * args.k, fam, 3, args.k))

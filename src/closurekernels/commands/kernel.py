@@ -106,31 +106,11 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _take_operands(error, args, extra: list[str]) -> None:
-    """Set args.problem and args.path from the operands argparse took and
-    the arguments it left over, in command-line order: argparse leaves the
-    operands after an option unparsed, as in `kernel convc --mode c in.ck`.
-    `error` is the kernel parser's, which prints its usage and exits 2."""
-    options = [a for a in extra if a.startswith("-")]
-    operands = args.operands + extra
-    if options or len(operands) > 2:
-        error(f"unrecognized arguments: {' '.join(options or operands[2:])}")
-    if len(operands) == 1:
-        args.problem, args.path = None, operands[0]
-        return
-    if operands[0] not in KERNEL_PROBLEMS:
-        error(f"argument problem: invalid choice: {operands[0]!r} "
-              f"(choose from {', '.join(KERNEL_PROBLEMS)})")
-    args.problem, args.path = operands
-
-
 def arguments(p) -> None:
-    p.usage = "%(prog)s [problem] path [options]"
-    # one list, not an optional `problem` before `path`: argparse fills
-    # positionals only up to the first option (see _take_operands)
-    p.add_argument("operands", nargs="+", metavar="[problem] path",
+    p.add_argument("problem", nargs="?", choices=KERNEL_PROBLEMS, metavar="problem",
                    help=f"problem to kernelize, one of {', '.join(KERNEL_PROBLEMS)} "
-                        "(default: the file's kind), then the instance file")
+                        "(default: the file's kind)")
+    p.add_argument("path", help="the instance file")
     p.add_argument("--mode", choices=("gamma", "c"), default="gamma",
                    help="convc route: weak-closure twin rule or closure-number "
                         "annotated pipeline (default gamma)")
@@ -140,5 +120,4 @@ def arguments(p) -> None:
     p.add_argument("--out", default=None,
                    help="write the reduced instance here instead of stdout")
     p.add_argument("--trace", default=None, help="write the JSON trace here")
-    p.set_defaults(fn=cmd_kernel,
-                   take_extra=lambda args, extra: _take_operands(p.error, args, extra))
+    p.set_defaults(fn=cmd_kernel)

@@ -38,11 +38,15 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the hub at id 0."""
+    if leaves < 0:
+        raise ValueError("a star needs a nonnegative number of leaves")
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}; side A is 0..a-1, side B is a..a+b-1."""
+    if a < 0 or b < 0:
+        raise ValueError("side sizes must be nonnegative")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -318,10 +322,3 @@ def gen_random_weakly_closed(n: int, target_gamma: int, seed: int) -> Graph:
     raise ValueError(
         f"no graph with weak closure <= {target_gamma} on {n} vertices "
         f"after {_MAX_ATTEMPTS} proposals")
-
-
-def gen_k_ab(a: int, b: int) -> Graph:
-    """Complete bipartite graph on a + b vertices."""
-    if a < 0 or b < 0:
-        raise ValueError("side sizes must be nonnegative")
-    return complete_bipartite(a, b)

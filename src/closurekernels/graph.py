@@ -211,11 +211,13 @@ def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, 
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:
-    """False twins: vertices grouped by open neighborhood, by first member."""
+    """False twins: vertices grouped by open neighborhood, by first member.
+    Vertices are visited in ascending order, so each class is ascending and
+    the dict keeps the classes in first-member order."""
     groups: dict[frozenset[int], list[int]] = {}
     for v in g.vertices():
         groups.setdefault(g.adj(v), []).append(v)
-    return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda t: t[0])
+    return [tuple(vs) for vs in groups.values()]
 
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:

@@ -25,7 +25,7 @@ def _generator_checks(rec: SuiteResult, seed: int) -> None:
         (gen.gen_random_split(9, seed), gen.gen_random_split(9, seed)),
         (gen.gen_random_bipartite(10, seed + 1), gen.gen_random_bipartite(10, seed + 1)),
         (gen.gen_random_weakly_closed(8, 2, seed), gen.gen_random_weakly_closed(8, 2, seed)),
-        (gen.gen_k_ab(2, 5), gen.gen_k_ab(2, 5)),
+        (gen.complete_bipartite(2, 5), gen.complete_bipartite(2, 5)),
     ]
     family = [frozenset({0, 1, 2}), frozenset({2, 3, 4}), frozenset({3, 4, 5})]
     a1 = gen.gen_capvc_lowerbound(6, family, 3, 2)

@@ -46,7 +46,8 @@ def suite_vclp_exactness(trials: int = 300, seed: int = 0) -> SuiteResult:
     rng = random.Random(f"verify:vclp:{seed}")
     gen = generators
     fixed = [Graph(0), Graph(1), gen.path_graph(4), gen.cycle_graph(5), gen.cycle_graph(6),
-             gen.complete_graph(4), gen.gen_k_ab(3, 3), gen.gen_k_ab(2, 5), gen.path_graph(10)]
+             gen.complete_graph(4), gen.complete_bipartite(3, 3), gen.complete_bipartite(2, 5),
+             gen.path_graph(10)]
     pool: list[Graph] = list(fixed)
     for _ in range(trials):
         pool.append(_draw_graph(rng, 0, 10, (0.2, 0.4, 0.6, 0.8)))

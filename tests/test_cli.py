@@ -614,6 +614,13 @@ class TestEntryPoints:
         assert main(["kernel"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--", "kernel"],
+                                      ["--mode", "c", "kernel", "a.ck"]])
+    def test_no_command_first_is_a_top_level_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: closurekernels [-h]") and err.count("error:") == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
@@ -621,7 +628,7 @@ class TestEntryPoints:
     # subcommand: every option its --help must list
     HELP_OPTIONS = {
         "params": ["path", "--oracle-cap"],
-        "kernel": ["[problem] path", "--mode", "--k", "--ell", "--out", "--trace"],
+        "kernel": ["problem", "path", "--mode", "--k", "--ell", "--out", "--trace"],
         "solve": ["{capvc,convc,coc,im,ds,is}", "path", "--k", "--ell", "--oracle-cap",
                   "--witness"],
         "verify": ["--trials", "--seed", "--suite", "--dump-dir"],

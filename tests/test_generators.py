@@ -8,10 +8,10 @@ from closurekernels import generators
 from closurekernels.closure import closure_number, weak_closure_ordering
 from closurekernels.domset import is_split
 from closurekernels.generators import (
+    complete_bipartite,
     composition_layout,
     gen_capvc_lowerbound,
     gen_is_composition,
-    gen_k_ab,
     gen_random_bipartite,
     gen_random_split,
     gen_random_weakly_closed,
@@ -247,8 +247,15 @@ class TestRandomFamilies:
             gen_random_weakly_closed(8, 1, 0)
 
     def test_k_ab_frozen_parameters(self):
-        g = gen_k_ab(2, 5)
+        g = complete_bipartite(2, 5)
         assert g.n == 7 and g.m == 10
         assert closure_number(g) == 6
         assert weak_closure_ordering(g).weak_closure == 3
 
+
+@pytest.mark.parametrize("build", [lambda: complete_bipartite(-1, 3),
+                                   lambda: complete_bipartite(3, -1),
+                                   lambda: generators.star_graph(-1)])
+def test_named_graphs_reject_negative_sizes(build):
+    with pytest.raises(ValueError, match="nonnegative"):
+        build()

@@ -25,6 +25,7 @@ from closurekernels.graph import (
     is_clique,
     is_independent_set,
     maximal_cliques,
+    twin_classes,
 )
 from closurekernels.convc import CocInstance, ConVcInstance
 from closurekernels.induced_matching import ImInstance
@@ -149,6 +150,25 @@ def test_vertex_cover_matches_the_edge_list_check():
         assert is_vertex_cover(g, iter(s)) == want
         covers += want and g.m > 0
     assert covers >= 300
+
+
+def test_twin_classes_match_a_sorted_reference():
+    # half the graphs are blow-ups: vertices copying a base vertex's
+    # neighbourhood are false twins of each other
+    rng = random.Random(307)
+    for _ in range(1500):
+        n = rng.randint(0, 30)
+        if rng.random() < 0.5:
+            g = Graph(n, [e for e in combinations(range(n), 2)
+                          if rng.random() < rng.choice((0.05, 0.3, 0.7))])
+        else:
+            base = [rng.randrange(max(1, n // 3)) for _ in range(n)]
+            links = {e for e in combinations(range(max(1, n // 3)), 2) if rng.random() < 0.5}
+            g = Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                          if tuple(sorted((base[u], base[v]))) in links])
+        ref = sorted({tuple(sorted(w for w in g.vertices() if g.adj(w) == g.adj(v)))
+                      for v in g.vertices()})
+        assert twin_classes(g) == ref
 
 
 def test_components():

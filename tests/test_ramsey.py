@@ -5,8 +5,9 @@ from math import comb
 
 import pytest
 
+from closurekernels import ramsey
 from closurekernels.closure import weak_closure_ordering
-from closurekernels.generators import complete_graph
+from closurekernels.generators import complete_graph, gen_random_split, gen_random_weakly_closed
 from closurekernels.graph import Graph, is_clique, is_independent_set
 from closurekernels.ramsey import (
     RamseyWitness,
@@ -33,6 +34,13 @@ def disjoint_cliques(sizes):
                      for i in range(s) for j in range(i + 1, s))
         start += s
     return Graph(start, edges)
+
+
+def relabelled(g, rng):
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def random_forest(rng, max_n=20):
@@ -147,6 +155,47 @@ class TestWitnessSearch:
         assert w.kind == "independent-set"
         assert validate_witness(g, w)
         assert len(w.vertices) == 10
+
+    def _block_walk_cliques(self, monkeypatch, graphs, a, b):
+        """Check the block walk's answer on each graph; returns how many
+        cliques it found on a common neighbourhood of gamma independent
+        vertices and how many through the recursive search inside one
+        neighbourhood class (the search's clique is returned at once)."""
+        inner = []
+        search = ramsey.clique_or_independent_set
+
+        def spy(*args):
+            inner.append(search(*args))
+            return inner[-1]
+
+        monkeypatch.setattr(ramsey, "clique_or_independent_set", spy)
+        common = recursive = 0
+        for g in graphs:
+            inner.clear()
+            w = ramsey._constructive(g, a, b)
+            if w is None:
+                continue
+            assert validate_witness(g, w)
+            assert len(w.vertices) == (a if w.kind == "clique" else b)
+            if w.kind == "independent-set":
+                continue
+            if inner and inner[-1] is not None and inner[-1].kind == "clique":
+                recursive += 1
+            else:
+                common += 1
+        return common, recursive
+
+    def test_block_walk_clique_on_common_neighbours(self, monkeypatch):
+        rng = random.Random(191)
+        graphs = (relabelled(gen_random_weakly_closed(18, 1, seed), rng) for seed in range(200))
+        common, _ = self._block_walk_cliques(monkeypatch, graphs, 2, 5)
+        assert common >= 5
+
+    def test_block_walk_clique_from_the_recursive_search(self, monkeypatch):
+        rng = random.Random(193)
+        graphs = (relabelled(gen_random_split(23, seed), rng) for seed in range(600))
+        _, recursive = self._block_walk_cliques(monkeypatch, graphs, 5, 4)
+        assert recursive >= 3
 
     def test_large_clique_found_past_constructive_range(self):
         g = complete_graph(25)
