@@ -11,19 +11,24 @@ their own witnesses; `solve_exact_set_cover`, which has no problem class
 and is not dispatched, asserts its cover. Deterministic: candidate
 enumeration in lexicographic order by increasing size. Two searches serve
 most oracles. `_smallest_set` tries vertex sets smallest first (connected
-vertex cover, dominating set, component order connectivity).
+vertex cover, dominating set, component order connectivity) as `int` masks,
+tested by mask forms of the set predicates; `is_solution` checks each yes
+witness with the set predicates themselves.
 `cliquesearch.first_clique` finds the first k pairwise-compatible items over
 bitmasks: independent set over vertices, induced matching over edges,
 multicolored independent set over the vertices in part order, and exact set
 cover over the family. The capacitated vertex cover oracle branches on
-`int` masks of its chosen vertices and of each edge's endpoints. No
+`int` masks of its chosen vertices and of each edge's endpoints. It always
+branches on the first uncovered edge, so a branch node's whole subtree
+depends on its chosen mask alone; a mask met again can only reach covers
+already checked, and is skipped. No
 `solve_*` oracle recurses, so deep inputs end in an answer, not a
 `RecursionError`. The one size cap counts vertices.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .cliquesearch import first_clique
 from .graph import Graph, Record, is_clique, is_independent_set
@@ -56,22 +61,75 @@ class OracleResult(Record):
 # ---------------------------------------------------------------------------
 # the subset search
 
-def _smallest_set(g: Graph, k: int, max_n: int | None, verts: Sequence[int],
-                  accept: Callable[[frozenset[int]], bool]) -> OracleResult:
-    """The first set of at most k of `verts` that `accept` takes, trying sets
-    smallest first and each size in lexicographic order; `subsets` counts
-    the sets tried. A negative budget answers no before the size cap."""
+def _smallest_set(g: Graph, k: int, max_n: int | None,
+                  accept: Callable[[int], bool]) -> OracleResult:
+    """The first vertex set of at most k vertices that `accept` takes,
+    trying sets smallest first and each size in lexicographic order; `subsets`
+    counts the sets tried. `accept` gets the set as an `int` mask and the
+    witness is its `frozenset`. Each set is tried once, and the mask
+    predicates below are the set predicates' forms on masks, so `subsets`
+    and the witness are those of a search on sets. Sizes stop at n, so a
+    budget above n costs no more than n. A negative budget answers no
+    before the size cap."""
     if k < 0:
         return OracleResult(False, stats={"subsets": 0})
     _check_cap(g, max_n)
+    bits = [1 << v for v in g.vertices()]
     count = 0
-    for size in range(k + 1):
-        for s in combinations(verts, size):
+    for size in range(min(k, g.n) + 1):
+        for s in combinations(bits, size):
             count += 1
-            ss = frozenset(s)
-            if accept(ss):
-                return OracleResult(True, ss, {"subsets": count})
+            mask = sum(s)
+            if accept(mask):
+                return OracleResult(True, frozenset(b.bit_length() - 1 for b in s),
+                                    {"subsets": count})
     return OracleResult(False, stats={"subsets": count})
+
+
+def _component(masks: list[int], within: int, start: int) -> int:
+    """The mask of the component of G[within] that holds the `start` bit."""
+    comp = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            reach |= masks[b.bit_length() - 1]
+        frontier = reach & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def _covers_mask(spans: list[int], s: int) -> bool:
+    """`is_vertex_cover` on masks: s meets every edge's endpoint mask."""
+    for e in spans:
+        if not e & s:
+            return False
+    return True
+
+
+def _connected_mask(masks: list[int], s: int) -> bool:
+    """`is_connected_set` on a mask."""
+    return s == 0 or _component(masks, s, s & -s) == s
+
+
+def _dominates_mask(closed: list[int], s: int) -> bool:
+    """`is_dominating_set` on masks: s meets every closed neighbourhood."""
+    for c in closed:
+        if not c & s:
+            return False
+    return True
+
+
+def _components_within_mask(masks: list[int], deleted: int, ell: int) -> bool:
+    """`coc_components_ok` on a mask."""
+    rest = ((1 << len(masks)) - 1) & ~deleted
+    while rest:
+        comp = _component(masks, rest, rest & -rest)
+        if comp.bit_count() > ell:
+            return False
+        rest ^= comp
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +175,11 @@ def capvc_assignment_feasible(g: Graph, cover: frozenset[int], cap: tuple[int, .
 
 def _place_edges(edges: list[tuple[int, int]], cover: frozenset[int],
                  cap: tuple[int, ...]) -> bool:
-    """`capvc_assignment_feasible` for a `cover` known to cover `edges`."""
+    """`capvc_assignment_feasible` for a `cover` known to cover `edges`.
+    A cover whose total capacity is below the edge count fails at once."""
     remaining = {v: max(cap[v], 0) for v in cover}
+    if sum(remaining.values()) < len(edges):
+        return False
     held: dict[int, list[tuple[int, int]]] = {v: [] for v in cover}
     for e in edges:
         # came[w] = (the edge that moves into w, the vertex it leaves)
@@ -155,6 +216,13 @@ def solve_capvc_exact(g: Graph, cap: tuple[int, ...], k: int,
     augmenting-path flow. The branch path is an explicit stack; the chosen
     vertices and each edge's endpoints are `int` masks, so finding the next
     uncovered edge is one `&` per edge.
+
+    Every edge before a node's scan position is covered, so the next
+    uncovered edge, the budget left (one vertex per branch) and so the whole
+    subtree depend on the chosen mask alone. Each mask is explored once: a
+    repeated one can only reach covers its first visit checked, none of
+    which passed. The distinct covers come in the same order, so the
+    witness and `feasibility_checks` are those of the full tree.
     """
     if len(cap) != g.n:
         raise ValueError("capacity vector length must equal vertex count")
@@ -171,7 +239,8 @@ def solve_capvc_exact(g: Graph, cap: tuple[int, ...], k: int,
     # take an edge
     takers = [v for v in g.vertices() if cap[v] >= 1 and g.adj(v)]
     checks = 0
-    seen_covers: set[int] = set()
+    # the chosen masks of the covers checked and of the inner nodes branched on
+    seen: set[int] = set()
 
     def padded(base: int) -> frozenset[int] | None:
         nonlocal checks
@@ -194,13 +263,15 @@ def solve_capvc_exact(g: Graph, cap: tuple[int, ...], k: int,
     while True:
         while spans[i] & chosen:
             i += 1
-        if i == m:
-            if chosen not in seen_covers:
-                seen_covers.add(chosen)
-                witness = padded(chosen)
-                if witness is not None:
-                    break
+        if chosen in seen:
+            pass  # its subtree reaches only covers checked already
+        elif i == m:
+            seen.add(chosen)
+            witness = padded(chosen)
+            if witness is not None:
+                break
         elif len(path) < k:
+            seen.add(chosen)
             path.append(i)
             chosen |= lows[i]
             i += 1
@@ -226,8 +297,11 @@ def solve_convc_exact(g: Graph, k: int, max_n: int | None = None,
                       required: frozenset[int] = frozenset()) -> OracleResult:
     """Exact connected vertex cover: S covers every edge, G[S] is connected,
     |S| <= k, and S contains `required` (the annotated variant)."""
-    return _smallest_set(g, k, max_n, g.vertices(), lambda s: required <= s
-                         and is_vertex_cover(g, s) and is_connected_set(g, s))
+    masks = g.adjacency_masks()
+    spans = [1 << u | 1 << v for u, v in g.edges()]
+    need = sum(1 << v for v in required)
+    return _smallest_set(g, k, max_n, lambda s: not need & ~s and _covers_mask(spans, s)
+                         and _connected_mask(masks, s))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +364,8 @@ def is_dominating_set(g: Graph, s: Iterable[int]) -> bool:
 
 def solve_ds_exact(g: Graph, k: int, max_n: int | None = None) -> OracleResult:
     """Is there a dominating set of size <= k?"""
-    return _smallest_set(g, k, max_n, g.vertices(), lambda s: is_dominating_set(g, s))
+    closed = [m | 1 << v for v, m in enumerate(g.adjacency_masks())]
+    return _smallest_set(g, k, max_n, lambda s: _dominates_mask(closed, s))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +398,9 @@ def solve_coc_exact(g: Graph, ell: int, k: int, max_n: int | None = None) -> Ora
     vertices. The empty set is a connected deletion set."""
     if ell < 1:
         raise ValueError("component bound must be positive")
-    return _smallest_set(g, k, max_n, g.vertices(), lambda s: is_connected_set(g, s)
-                         and coc_components_ok(g, s, ell))
+    masks = g.adjacency_masks()
+    return _smallest_set(g, k, max_n, lambda s: _connected_mask(masks, s)
+                         and _components_within_mask(masks, s, ell))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ they stay independent of the engines they check.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 from .. import _lazy, closure
 from ..graph import Graph, induced_subgraph
@@ -64,43 +63,41 @@ def exhaustive_weak_closure(g: Graph) -> int:
     """Minimum over all n! peeling orders of (1 + max step closure).
 
     Subset DP over bitmasks, equivalent to enumerating every order:
-    best(S) = min over v in S of max(cl_{G[S]}(v), best(S - v)).
-    Intended as an independent oracle for small n (<= ~16).
+    best(S) = min over v in S of max(cl_{G[S]}(v), best(S - v)). The table
+    is filled bottom-up over all 2^n subsets in increasing order, so each
+    S - v is done before S. A v whose best(S - v) already reaches the
+    running minimum cannot lower it and is skipped. Intended as an
+    independent oracle for small n (<= ~16).
     """
     n = g.n
     if n == 0:
         return 1
     masks = g.adjacency_masks()
-
-    @lru_cache(maxsize=None)
-    def best(s: int) -> int:
-        if s == 0:
-            return 0
-        res = None
+    # per v, each w outside N[v] with the common neighbours of v and w
+    apart = [[(1 << w, masks[v] & masks[w]) for w in range(n)
+              if w != v and not masks[v] >> w & 1] for v in range(n)]
+    best = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        res = n  # above every closure
         t = s
         while t:
-            vbit = t & (-t)
+            vbit = t & -t
             t ^= vbit
-            v = vbit.bit_length() - 1
-            nv = masks[v] & s
-            cl = 0
-            rest = s & ~nv & ~vbit
-            while rest:
-                wbit = rest & (-rest)
-                rest ^= wbit
-                w = wbit.bit_length() - 1
-                c = (nv & masks[w] & s).bit_count()
-                if c > cl:
-                    cl = c
-            sub = best(s ^ vbit)
-            val = cl if cl > sub else sub
-            if res is None or val < res:
+            val = best[s ^ vbit]
+            if val >= res:
+                continue
+            # raise val to max(cl_{G[S]}(v), best(S - v)), stopping at res
+            for wbit, common in apart[vbit.bit_length() - 1]:
+                if s & wbit:
+                    c = (common & s).bit_count()
+                    if c > val:
+                        val = c
+                        if val >= res:
+                            break
+            if val < res:
                 res = val
-        return res  # type: ignore[return-value]
-
-    out = 1 + best((1 << n) - 1)
-    best.cache_clear()
-    return out
+        best[s] = res
+    return 1 + best[-1]
 
 
 # ---------------------------------------------------------------------------

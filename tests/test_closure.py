@@ -339,6 +339,17 @@ def test_exhaustive_dp_matches_permutations():
         for _ in range(12):
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             assert exhaustive_weak_closure(g) == brute_weak_closure_by_permutations(g)
+            # the same graph with an isolated vertex, and with a universal one,
+            # each at a random position
+            for universal in (False, True):
+                x = rng.randint(0, n)
+                old = [v if v < x else v + 1 for v in range(n)]
+                edges = [(old[u], old[v]) for u, v in g.edges()]
+                if universal:
+                    edges += [(x, v) for v in old]
+                h = Graph(n + 1, edges)
+                assert exhaustive_weak_closure(h) == brute_weak_closure_by_permutations(h), \
+                    (h.edges(), universal)
 
 
 def test_greedy_equals_exhaustive_random():

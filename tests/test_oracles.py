@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from closurekernels.capvc import CapVcInstance
+from closurekernels.cli import _random_triples
 from closurekernels.convc import AnnotatedConVcInstance, CocInstance, ConVcInstance
 from closurekernels.domset import DsInstance
 from closurekernels.generators import (
@@ -290,6 +291,16 @@ def test_exact_set_cover():
 
 
 # --- shared behaviour --------------------------------------------------------
+
+def test_budget_above_n_stops_at_n():
+    # 2K2 with a budget of 10^8: no connected vertex cover, and no connected
+    # deletion set leaving singletons; every one of the 16 sets is tried once
+    g = Graph(4, [(0, 1), (2, 3)])
+    start = time.perf_counter()
+    for res in (solve_convc_exact(g, 10 ** 8), solve_coc_exact(g, 1, 10 ** 8)):
+        assert not res.answer and res.stats == {"subsets": 16}
+    assert time.perf_counter() - start < 1.0
+
 
 def test_size_cap():
     big = Graph(20)
@@ -612,6 +623,32 @@ def test_coc_matches_its_own_subset_loop():
         assert same_result(solve_coc_exact(g, ell, k), ref_coc(g, ell, k)), (g.edges(), ell, k)
 
 
+def test_mask_predicates_match_the_set_predicates():
+    # the masks the subset search tests against the set predicates that
+    # is_solution checks witnesses with: the empty set, every singleton, the
+    # full vertex set and random sets, on seeded graphs with n from 0 to 10
+    rng = random.Random(411)
+    for _ in range(400):
+        g = random_graph(rng.randint(0, 10), rng.choice((0.1, 0.25, 0.5, 0.8)), rng)
+        masks = g.adjacency_masks()
+        spans = [1 << u | 1 << v for u, v in g.edges()]
+        closed = [m | 1 << v for v, m in enumerate(masks)]
+        sets = [frozenset(), frozenset(g.vertices())]
+        sets += [frozenset({v}) for v in g.vertices()]
+        sets += [frozenset(v for v in g.vertices() if rng.random() < p)
+                 for p in (0.2, 0.4, 0.6, 0.8) for _ in range(3)]
+        for s in sets:
+            mask = sum(1 << v for v in s)
+            assert oracles_mod._covers_mask(spans, mask) == is_vertex_cover(g, s), (g.edges(), s)
+            assert oracles_mod._connected_mask(masks, mask) == is_connected_set(g, s), \
+                (g.edges(), s)
+            assert oracles_mod._dominates_mask(closed, mask) == is_dominating_set(g, s), \
+                (g.edges(), s)
+            for ell in (1, 2, 3):
+                assert (oracles_mod._components_within_mask(masks, mask, ell)
+                        == coc_components_ok(g, s, ell)), (g.edges(), s, ell)
+
+
 def test_capvc_matches_the_recursive_branching():
     for rng, g, k in seeded_instances(406, 3000, 7):
         cap = tuple(rng.randint(-1, 3) for _ in g.vertices())
@@ -634,6 +671,27 @@ def test_capvc_matches_the_recursive_branching_on_gadgets():
             assert same_result(got, ref_capvc(inst.graph, inst.cap, budget)), (family, budget)
             answers.add(got.answer)
     assert answers == {False, True}
+
+
+# `generate capvc-hard --k 3 --sets 12 --seed S` for S = 1, 2, 3: 48 vertices,
+# budget 21, branch trees too deep for ref_capvc. The answers, witnesses and
+# check counts are those of the search before it skipped repeated branch nodes.
+K3_GADGETS = {
+    1: (False, None, 956),
+    2: (True, (5, 8, 9), 599),
+    3: (True, (2, 7, 11), 338),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(K3_GADGETS))
+def test_capvc_on_the_k3_gadgets(seed):
+    answer, picked, checks = K3_GADGETS[seed]
+    inst = gen_capvc_lowerbound(9, _random_triples(9, 12, seed), 3, 3)
+    res = solve_capvc_exact(inst.graph, inst.cap, inst.k, max_n=60)
+    # a yes witness is three set vertices plus both universe copies, 12 to 29
+    witness = None if picked is None else frozenset(picked + tuple(range(12, 30)))
+    assert (res.answer, res.witness, res.stats) == (answer, witness,
+                                                    {"feasibility_checks": checks})
 
 
 def test_feasibility_matches_the_recursive_rerouting():
